@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Picking a bandwidth by maximizing the number of certified modes.
 
-The sample mixes two point masses at +-10 with a broad shoulder at zero.
-Small bandwidths shatter the shoulder into spurious candidates that never
-certify; large ones melt the point masses together.  The scan lands in
-between, where all three features are simultaneously significant.
+The sample mixes N(-10, 1), a point mass at 0 and N(+10, 1).  Small
+bandwidths split the Gaussians into spurious candidates that do not all
+certify; large ones melt the three features together.  The scan lands in
+between, where all three are simultaneously significant.
 """
 
 import os

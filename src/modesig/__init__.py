@@ -13,16 +13,15 @@ from .boot import (
     BootstrapDraws,
     EigenPortrait,
     EspConfidenceSet,
-    bootstrap_hessian,
     bootstrap_hessian_batch,
     eigen_rectangles,
+    esp_forward,
     esp_quantile,
     test_significance,
 )
 from .datasets import FAMILIES, GeneratorSpec, generate
-from .esp import all_negative, esp_forward, esp_inverse, sym_eigenvalues
-from .kde import DensityModel, HessianEval, as_points
-from .modes import ClusterAssignment, MeanShiftOptions, ModeCandidate, find_modes, mean_shift_step
+from .kde import DensityModel, as_points
+from .modes import ClusterAssignment, MeanShiftOptions, ModeCandidate, find_modes
 from .modetest import ModeTestConfig, ModeTestReport, mode_test_on_split, run_mode_test, split
 from .persist import (
     GridFunction,
@@ -40,12 +39,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BandwidthScan", "default_grid", "scan", "select_bandwidth",
     "BootstrapDraws", "EigenPortrait", "EspConfidenceSet",
-    "bootstrap_hessian", "bootstrap_hessian_batch", "eigen_rectangles",
+    "bootstrap_hessian_batch", "eigen_rectangles", "esp_forward",
     "esp_quantile", "test_significance",
     "FAMILIES", "GeneratorSpec", "generate",
-    "all_negative", "esp_forward", "esp_inverse", "sym_eigenvalues",
-    "DensityModel", "HessianEval", "as_points",
-    "ClusterAssignment", "MeanShiftOptions", "ModeCandidate", "find_modes", "mean_shift_step",
+    "DensityModel", "as_points",
+    "ClusterAssignment", "MeanShiftOptions", "ModeCandidate", "find_modes",
     "ModeTestConfig", "ModeTestReport", "mode_test_on_split", "run_mode_test", "split",
     "GridFunction", "PersistenceDiagram", "bootstrap_band", "default_axes",
     "density_grid", "significant_pairs", "superlevel_persistence",

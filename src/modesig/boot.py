@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kde import as_points, sample_sum
+from .kde import DensityModel
 from .modes import ModeCandidate
 
 __all__ = [
     "BootstrapDraws",
     "EspConfidenceSet",
     "EigenPortrait",
-    "bootstrap_hessian",
+    "bootstrap_hessian_batch",
+    "esp_forward",
     "esp_quantile",
     "eigen_rectangles",
     "test_significance",
@@ -82,47 +83,35 @@ def _resample_counts(n: int, B: int, seed: int) -> np.ndarray:
     return counts
 
 
-def _hessian_vech_terms(points: np.ndarray, h: float, at: np.ndarray):
-    """Per-point Hessian contributions, flattened to lower-triangle columns.
+def esp_forward(lam) -> np.ndarray:
+    """Elementary symmetric polynomials (s_1, ..., s_d) of lam, row by row.
 
-    Returns (terms, (rows, cols), scale) with terms of shape (d(d+1)/2, n):
-    the Hessian of a weighted resample is scale * sample_sum(counts, terms),
-    unpacked symmetrically via the (rows, cols) index pair.
+    lam is one vector (d,) or a stack of rows (B, d); the result has the same
+    shape.  Sorted eigenvalues map to the (sign-adjusted) coefficients of the
+    characteristic polynomial.  Unlike the eigenvalues themselves, s is a
+    smooth function of the matrix even at repeated roots, which is what makes
+    it bootstrappable.  Computed by the Vieta recurrence: multiply out
+    prod_i (t + lam_i) one root at a time.  O(d^2) per row and independent
+    of the order of the entries.
     """
-    n, d = points.shape
-    u = (at[:, None] - points.T) / h  # (d, n)
-    e = np.exp(-0.5 * np.sum(u**2, axis=0))
-    rows, cols = np.tril_indices(d)
-    terms = u[rows] * u[cols] * e
-    terms[rows == cols] -= e
-    scale = (2.0 * np.pi) ** (-0.5 * d) / (n * h ** (d + 2))
-    return terms, (rows, cols), scale
-
-
-def _eigs_from_counts(counts: np.ndarray, terms, index_pair, scale: float, d: int):
-    """Sorted-descending eigenvalues (B, d) of the count-weighted Hessians."""
-    vech = scale * sample_sum(counts, terms)  # (B, q)
-    B = vech.shape[0]
-    rows, cols = index_pair
-    mats = np.zeros((B, d, d))
-    mats[:, rows, cols] = vech
-    mats[:, cols, rows] = vech
-    lam = np.linalg.eigvalsh(mats)  # ascending
-    return lam[:, ::-1]
-
-
-def _esp_rows(lam: np.ndarray) -> np.ndarray:
-    """Row-wise ESP via the same Vieta update order as esp_forward."""
-    B, d = lam.shape
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    if lam.ndim > 2:
+        raise ValueError("lam must be a vector or a stack of row vectors")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lam contains non-finite entries")
+    rows = np.atleast_2d(lam)
+    B, d = rows.shape
     s = np.zeros((B, d + 1))
     s[:, 0] = 1.0
     for i in range(d):
-        s[:, 1 : i + 2] += lam[:, i : i + 1] * s[:, 0 : i + 1]
-    return s[:, 1:]
+        # e_k <- e_k + lam_i * e_{k-1} for all k at once; the RHS product is a
+        # temporary, so the overlapping slices read pre-update values.
+        s[:, 1 : i + 2] += rows[:, i : i + 1] * s[:, 0 : i + 1]
+    return s[0, 1:] if lam.ndim == 1 else s[:, 1:]
 
 
-def bootstrap_hessian(Y, h: float, point, B: int, seed: int) -> BootstrapDraws:
-    """Bootstrap the KDE Hessian of Y at a fixed point.
+def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[BootstrapDraws]:
+    """Bootstrap the KDE Hessian of Y at several fixed points.
 
     Parameters
     ----------
@@ -131,46 +120,36 @@ def bootstrap_hessian(Y, h: float, point, B: int, seed: int) -> BootstrapDraws:
         from these points.
     h : float
         Bandwidth.
-    point : array-like, shape (d,)
-        Fixed evaluation point (a candidate mode).
+    points : sequence of array-like, each of shape (d,)
+        Fixed evaluation points (candidate modes).
     B : int
         Number of bootstrap replicates (>= 1).
     seed : int
         Base seed; replicate b uses the stream keyed by (seed, b).
+
+    Each replicate's count vector depends only on (seed, b), so the draws
+    at a point do not depend on which other points share the call.
     """
-    draws = bootstrap_hessian_batch(Y, h, [point], B, seed)
-    return draws[0]
-
-
-def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[BootstrapDraws]:
-    """bootstrap_hessian at several fixed points, sharing the resamples.
-
-    Each replicate's count vector depends only on (seed, b), so the result
-    at every point is identical to a separate bootstrap_hessian call with
-    the same seed; batching just avoids regenerating the counts.
-    """
-    Y = as_points(Y)
-    n, d = Y.shape
+    model = DensityModel(Y, h)
     if B < 1:
         raise ValueError("B must be >= 1")
-    if not (h > 0.0 and np.isfinite(h)):
-        raise ValueError("bandwidth must be positive and finite")
-    counts = _resample_counts(n, B, seed)
-    ones = np.ones((1, n))
+    counts = _resample_counts(model.n, B, seed)
+    ones = np.ones((1, model.n))
     out = []
     for p in points:
         at = np.asarray(p, dtype=np.float64)
-        if at.shape != (d,):
-            raise ValueError(f"point must have shape ({d},)")
-        terms, index_pair, scale = _hessian_vech_terms(Y, h, at)
-        lam_star = _eigs_from_counts(counts, terms, index_pair, scale, d)
-        lam_hat = _eigs_from_counts(ones, terms, index_pair, scale, d)[0]
+        if at.shape != (model.d,):
+            raise ValueError(f"point must have shape ({model.d},)")
+        terms = model._hessian_terms(at)
+        # eigvalsh sorts ascending; rows are reported descending
+        lam_star = np.linalg.eigvalsh(model._hessians(counts, terms))[:, ::-1]
+        lam_hat = np.linalg.eigvalsh(model._hessians(ones, terms))[0, ::-1]
         out.append(
             BootstrapDraws(
                 lambda_star=lam_star,
-                s_star=_esp_rows(lam_star),
+                s_star=esp_forward(lam_star),
                 lambda_hat=lam_hat,
-                s_hat=_esp_rows(lam_hat[None, :])[0],
+                s_hat=esp_forward(lam_hat),
             )
         )
     return out

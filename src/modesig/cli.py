@@ -18,7 +18,14 @@ from .bandwidth import default_grid, scan
 from .datasets import FAMILIES, GeneratorSpec, generate
 from .kde import DensityModel, as_points
 from .modetest import ModeTestConfig, run_mode_test
-from .persist import PersistenceDiagram, bootstrap_band, default_axes, density_grid, superlevel_persistence
+from .persist import (
+    PersistenceDiagram,
+    bootstrap_band,
+    default_axes,
+    density_grid,
+    significant_pairs,
+    superlevel_persistence,
+)
 from .report import emit_report
 
 __all__ = ["main", "load_csv"]
@@ -148,7 +155,7 @@ def _cmd_persist(args) -> int:
     pairs = superlevel_persistence(density_grid(model, axes))
     band = bootstrap_band(points, args.h, axes, args.alpha, args.B, args.seed)
     diagram = PersistenceDiagram(pairs=pairs, band=band)
-    retained = int(np.sum(pairs[:, 1] - pairs[:, 0] > 2.0 * band))
+    retained = significant_pairs(diagram).shape[0]
     config = {
         "command": "persist", **source,
         "h": args.h, "alpha": args.alpha, "B": args.B, "seed": args.seed,

@@ -13,11 +13,9 @@ O(n) per query point; no tree or binning approximation is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["DensityModel", "HessianEval", "as_points"]
+__all__ = ["DensityModel", "as_points"]
 
 
 # --- input validation -------------------------------------------------------
@@ -68,15 +66,6 @@ def sample_sum(w: np.ndarray, xt: np.ndarray) -> np.ndarray:
 
 
 # --- model ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HessianEval:
-    """Density curvature at one point: gradient vector and symmetrized Hessian."""
-
-    point: np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
-
 
 class DensityModel:
     """Kernel density estimate over a fixed sample, with derivatives.
@@ -144,17 +133,44 @@ class DensityModel:
         )
         return g[0] if single else g
 
-    def hessian(self, x) -> HessianEval:
-        """Gradient and Hessian at a single point x, Hessian exactly symmetric."""
+    def hessian(self, x) -> np.ndarray:
+        """Hessian of the density at a single point x, an exactly symmetric (d, d) matrix."""
         q, single = _as_query(x, self.d)
         if not single:
             raise ValueError("hessian evaluates one point at a time")
-        u = (q[0][:, None] - self._points_t) / self.h  # (d, n)
-        e = np.exp(-0.5 * np.sum(u**2, axis=0))  # (n,)
-        grad = -(self._norm / self.h) * sample_sum(e[None, :], u)[0]
-        # H = norm/h^2 * sum_i e_i * (u_i u_i^T - I)
-        hess = (self._norm / self.h**2) * (sample_sum(u * e, u) - np.sum(e) * np.eye(self.d))
-        hess = 0.5 * (hess + hess.T)
+        hess = self._hessians(np.ones((1, self.n)), self._hessian_terms(q[0]))[0]
         if not np.all(np.isfinite(hess)):
             raise ValueError("non-finite Hessian")
-        return HessianEval(point=q[0].copy(), gradient=grad, hessian=hess)
+        return hess
+
+    # -- Hessians of reweighted samples, shared with the bootstrap --
+
+    def _hessian_terms(self, at: np.ndarray) -> np.ndarray:
+        """Per-point Hessian contributions at a fixed point, as (d(d+1)/2, n).
+
+        Row r holds e_i * (u_i u_i^T - I) at lower-triangle entry
+        np.tril_indices(d)[r], with u_i = (at - X_i) / h and
+        e_i = exp(-||u_i||^2 / 2).
+        """
+        # The strided points.T (not the contiguous _points_t) fixes the
+        # summation order of ||u_i||^2, on which reported bits depend.
+        u = (at[:, None] - self.points.T) / self.h  # (d, n)
+        e = np.exp(-0.5 * np.sum(u**2, axis=0))
+        rows, cols = np.tril_indices(self.d)
+        terms = u[rows] * u[cols] * e
+        terms[rows == cols] -= e
+        return terms
+
+    def _hessians(self, counts: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """(B, d, d) Hessians of the density with point i weighted by counts[b, i].
+
+        Unit counts give the model's own Hessian; bootstrap counts give the
+        Hessian of each resample.
+        """
+        scale = (2.0 * np.pi) ** (-0.5 * self.d) / (self.n * self.h ** (self.d + 2))
+        vech = scale * sample_sum(counts, terms)  # (B, d(d+1)/2)
+        rows, cols = np.tril_indices(self.d)
+        mats = np.zeros((vech.shape[0], self.d, self.d))
+        mats[:, rows, cols] = vech
+        mats[:, cols, rows] = vech
+        return mats

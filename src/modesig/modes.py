@@ -21,7 +21,7 @@ import numpy as np
 
 from .kde import DensityModel, as_points, sample_sum
 
-__all__ = ["MeanShiftOptions", "ModeCandidate", "ClusterAssignment", "mean_shift_step", "find_modes"]
+__all__ = ["MeanShiftOptions", "ModeCandidate", "ClusterAssignment", "find_modes"]
 
 # Cap on per-iteration weight-matrix rows, to bound memory at large meshes.
 _CHUNK_ROWS = 2048
@@ -75,18 +75,6 @@ class ClusterAssignment:
     labels: np.ndarray
     converged: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-def mean_shift_step(model: DensityModel, a) -> np.ndarray:
-    """One mean-shift update: the kernel-weighted mean of the data around a."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] != model.d:
-        raise ValueError(f"expected a point of dimension {model.d}")
-    w = model._exp_weights(a[None, :])[0]
-    total = float(np.sum(w))
-    if total <= 0.0:
-        raise ValueError("empty neighborhood: all kernel weights underflowed to zero")
-    return sample_sum(w[None, :], model._points_t)[0] / total
 
 
 def find_modes(
@@ -150,17 +138,8 @@ def find_modes(
         dead = wsum <= 0.0  # absurdly far starts: no neighborhood at all
         step = np.linalg.norm(shifted - current[active], axis=1)
         done = (step < step_tol) & ~dead
-        if it == max_iter:  # final sweep only measures convergence, takes no step
-            done_rows = active[done]
-            endpoint[done_rows] = current[done_rows]
-            end_density[done_rows] = density[done]
-            iterations[done_rows] = it
-            converged[done_rows] = True
-            rest = active[~done]
-            endpoint[rest] = current[rest]
-            end_density[rest] = density[~done]
-            break
-        finish = done | dead
+        # the final sweep only measures convergence and takes no step
+        finish = done | dead if it < max_iter else np.ones(active.size, dtype=bool)
         fin_rows = active[finish]
         endpoint[fin_rows] = current[fin_rows]
         end_density[fin_rows] = density[finish]
@@ -205,48 +184,33 @@ def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
     _, group_of, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
     n_groups = counts.shape[0]
 
-    # Representative endpoint per collapsed group: its highest-density member.
-    order = np.lexsort((np.arange(conv_idx.size), -dens))  # density desc, stable
-    rep_member = np.full(n_groups, -1, dtype=np.int64)
-    for i in order:
-        g = group_of[i]
-        if rep_member[g] < 0:
-            rep_member[g] = i
-    rep_pts = pts[rep_member]
+    # Representative endpoint per collapsed group: its first member in
+    # `order` (density descending, index ascending on ties).
+    order = np.lexsort((np.arange(conv_idx.size), -dens))
+    _, first = np.unique(group_of[order], return_index=True)
+    rep_pts = pts[order[first]]
 
-    # Single-linkage union-find over the collapsed representatives.
-    parent = np.arange(n_groups)
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # Single linkage over the collapsed representatives: propagate the
+    # smallest group index through `close` until every group carries the
+    # smallest index of its connected component.
     diff = rep_pts[:, None, :] - rep_pts[None, :, :]
     close = np.sqrt(np.sum(diff**2, axis=2)) < merge_tol
-    for i in range(n_groups):
-        for j in range(i + 1, n_groups):
-            if close[i, j]:
-                ri, rj = root(i), root(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    cluster_of_group = np.array([root(g) for g in range(n_groups)])
+    label = np.arange(n_groups)
+    while True:
+        spread = np.min(np.where(close, label[None, :], n_groups), axis=1)
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    cluster_ids, cluster_of_group = np.unique(label, return_inverse=True)
+    k = cluster_ids.shape[0]
 
     # Per cluster: representative = highest-density member endpoint.
-    cluster_ids = np.unique(cluster_of_group)
-    cluster_index = {c: i for i, c in enumerate(cluster_ids)}
-    k = cluster_ids.shape[0]
-    best_density = np.full(k, -np.inf)
-    best_member = np.zeros(k, dtype=np.int64)
-    basin = np.zeros(k, dtype=np.int64)
+    member_cluster = cluster_of_group[group_of]
+    _, first = np.unique(member_cluster[order], return_index=True)
+    best_member = order[first]
+    best_density = dens[best_member]
+    basin = np.bincount(member_cluster, minlength=k)
     max_iters = np.zeros(k, dtype=np.int64)
-    member_cluster = np.array([cluster_index[cluster_of_group[g]] for g in group_of])
-    for i in order[::-1]:  # ascending density; last write wins -> max density, earliest index on ties
-        c = member_cluster[i]
-        best_density[c] = dens[i]
-        best_member[c] = i
-    np.add.at(basin, member_cluster, 1)
     np.maximum.at(max_iters, member_cluster, iterations[conv_idx])
 
     # Sort candidates by descending density (stable, so ties keep cluster order).

@@ -14,6 +14,8 @@ import os
 
 import numpy as np
 
+from .persist import significant_pairs
+
 __all__ = ["build_document", "dumps_json", "emit_report"]
 
 SCHEMA_VERSION = 1
@@ -225,7 +227,7 @@ def persistence_svg(diagram) -> str:
         f'<text x="{size // 2 - 14}" y="{size - 12}" fill="#222">death</text>',
         f'<text x="10" y="{size // 2}" fill="#222" transform="rotate(-90 14 {size // 2})">birth</text>',
     ]
-    kept = set(map(tuple, np.asarray(diagram.pairs)[pairs[:, 1] - pairs[:, 0] > band]))
+    kept = set(map(tuple, significant_pairs(diagram)))
     for death, birth in pairs:
         cls = "pair significant" if (death, birth) in kept else "pair"
         body.append(

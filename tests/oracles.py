@@ -1,18 +1,11 @@
-"""Eigenvalues of small symmetric matrices and the elementary-symmetric-polynomial map.
+"""Reference implementations the tests compare the library against.
 
-The map ``w: (lambda_1 >= ... >= lambda_d) -> (s_1, ..., s_d)`` sends sorted
-eigenvalues to the elementary symmetric polynomials, i.e. the (sign-adjusted)
-coefficients of the characteristic polynomial.  Unlike the eigenvalues
-themselves, s is a smooth function of the matrix even at repeated roots,
-which is what makes it bootstrappable.  The inverse map is only needed as
-an oracle and is computed by polynomial root finding.
+None of these is on the pipeline's path: each restates a quantity in its
+textbook form, so a test can check the library's faster or fused version
+against it.
 """
 
-from __future__ import annotations
-
 import numpy as np
-
-__all__ = ["sym_eigenvalues", "esp_forward", "esp_inverse", "all_negative"]
 
 MAX_DIM = 32
 SYMMETRY_TOL = 1e-10
@@ -36,28 +29,6 @@ def sym_eigenvalues(a) -> np.ndarray:
         raise ValueError("matrix is not symmetric within tolerance")
     vals = np.linalg.eigvalsh(0.5 * (a + a.T))
     return vals[::-1].copy()
-
-
-def esp_forward(lam) -> np.ndarray:
-    """Elementary symmetric polynomials (s_1, ..., s_d) of the entries of lam.
-
-    Computed by the Vieta recurrence: multiply out prod_i (t + lam_i) one
-    root at a time, updating coefficients in place from high index down.
-    Stable, O(d^2), and independent of input order.
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    if lam.ndim != 1:
-        raise ValueError("lam must be a vector")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("lam contains non-finite entries")
-    d = lam.shape[0]
-    s = np.zeros(d + 1)
-    s[0] = 1.0
-    for i, x in enumerate(lam):
-        # e_k <- e_k + x * e_{k-1} for all k at once; the RHS product is a
-        # temporary, so the overlapping slices read pre-update values.
-        s[1 : i + 2] += x * s[0 : i + 1]
-    return s[1:]
 
 
 def esp_inverse(s) -> np.ndarray:
@@ -93,3 +64,16 @@ def all_negative(s) -> bool:
     signs = -np.ones(s.shape[0])
     signs[1::2] = 1.0
     return bool(np.all(signs * s > 0.0))
+
+
+def mean_shift_step(model, a) -> np.ndarray:
+    """One mean-shift update: the mean of the sample weighted by
+    exp(-||a - X_i||^2 / (2 h^2))."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 1 or a.shape[0] != model.d:
+        raise ValueError(f"expected a point of dimension {model.d}")
+    w = np.exp(-np.sum((a - model.points) ** 2, axis=1) / (2.0 * model.h**2))
+    total = float(np.sum(w))
+    if total <= 0.0:
+        raise ValueError("empty neighborhood: all kernel weights underflowed to zero")
+    return w @ model.points / total

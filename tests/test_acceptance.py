@@ -250,7 +250,7 @@ def test_criterion_8_scaling_with_sample_size():
         vals = np.empty(reps)
         for r in range(reps):
             data = np.random.default_rng(1000 + r + 7 * n).normal(size=(n, 1))
-            vals[r] = DensityModel(data, 1.0).hessian([0.0]).hessian[0, 0]
+            vals[r] = DensityModel(data, 1.0).hessian([0.0])[0, 0]
         sds.append(np.std(vals, ddof=1))
     ratio = sds[0] / sds[1]
 

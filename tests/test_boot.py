@@ -8,15 +8,19 @@ from modesig import (
     BootstrapDraws,
     DensityModel,
     EspConfidenceSet,
-    bootstrap_hessian,
     bootstrap_hessian_batch,
     eigen_rectangles,
     esp_forward,
-    esp_inverse,
     esp_quantile,
     find_modes,
 )
 from modesig import test_significance as significance_verdict
+from oracles import esp_inverse, sym_eigenvalues
+
+
+def bootstrap_hessian(Y, h, point, B, seed):
+    """The draws at a single point."""
+    return bootstrap_hessian_batch(Y, h, [point], B, seed)[0]
 
 
 def draws_with_distances(dist):
@@ -68,13 +72,14 @@ class TestDraws:
             assert np.array_equal(d.s_star[b], esp_forward(d.lambda_star[b]))
 
     def test_point_estimate_matches_model_hessian(self):
-        from modesig import sym_eigenvalues
+        # one Hessian formula serves both, so the eigenvalues agree exactly
         rng = np.random.default_rng(4)
-        Y = rng.normal(size=(70, 2))
-        at = np.array([0.1, 0.2])
-        d = bootstrap_hessian(Y, 1.1, at, B=2, seed=1)
-        lam = sym_eigenvalues(DensityModel(Y, 1.1).hessian(at).hessian)
-        assert_allclose(d.lambda_hat, lam, rtol=1e-12, atol=1e-15)
+        for dim in (1, 2, 3, 10):
+            Y = rng.normal(size=(70, dim))
+            at = rng.normal(scale=0.2, size=dim)
+            d = bootstrap_hessian(Y, 1.1, at, B=2, seed=1)
+            lam = sym_eigenvalues(DensityModel(Y, 1.1).hessian(at))
+            assert np.array_equal(d.lambda_hat, lam), f"d={dim}"
 
     def test_bootstrap_sd_tracks_sampling_sd(self):
         # d=1: bootstrap spread of the Hessian at the sample mode vs. the
@@ -91,7 +96,7 @@ class TestDraws:
             data = rng.normal(size=500)
             m = DensityModel(data, 1.0)
             own_mode = find_modes(m)[0][0].location
-            fresh[r] = m.hessian(own_mode).hessian[0, 0]
+            fresh[r] = m.hessian(own_mode)[0, 0]
         mc_sd = np.std(fresh, ddof=1)
         assert 0.5 <= boot_sd / mc_sd <= 2.0, f"ratio {boot_sd / mc_sd:.2f}"
 

@@ -59,9 +59,9 @@ class TestClosedForms:
 
     def test_single_point_hessian(self):
         m = DensityModel([[0.0]], 1.0)
-        he = m.hessian([0.0])
-        assert_allclose(he.hessian, [[-1.0 / SQRT_2PI]], rtol=1e-14)
-        assert_allclose(he.hessian[0, 0], -0.398942, atol=5e-7)
+        H = m.hessian([0.0])
+        assert_allclose(H, [[-1.0 / SQRT_2PI]], rtol=1e-14)
+        assert_allclose(H[0, 0], -0.398942, atol=5e-7)
 
 
 class TestFiniteDifferences:
@@ -86,7 +86,7 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(23)
         m = DensityModel(rng.normal(size=(25, 3)), 1.1)
         x = rng.normal(size=3)
-        assert_allclose(m.hessian(x).hessian, fd_hessian(m, x, 1e-5 * m.h), rtol=1e-5, atol=1e-12)
+        assert_allclose(m.hessian(x), fd_hessian(m, x, 1e-5 * m.h), rtol=1e-5, atol=1e-12)
 
     def test_hessian_100_random_instances(self):
         rng = np.random.default_rng(6)
@@ -94,14 +94,14 @@ class TestFiniteDifferences:
             d = int(rng.integers(1, 4))
             m = DensityModel(rng.normal(size=(int(rng.integers(3, 30)), d)), float(rng.uniform(0.4, 1.6)))
             x = rng.normal(size=d)
-            assert_allclose(m.hessian(x).hessian, fd_hessian(m, x, 1e-5 * m.h), rtol=1e-5, atol=1e-12)
+            assert_allclose(m.hessian(x), fd_hessian(m, x, 1e-5 * m.h), rtol=1e-5, atol=1e-12)
 
 
 class TestModelBasics:
     def test_hessian_exactly_symmetric(self):
         rng = np.random.default_rng(3)
         m = DensityModel(rng.normal(size=(40, 4)), 0.9)
-        H = m.hessian(rng.normal(size=4)).hessian
+        H = m.hessian(rng.normal(size=4))
         assert np.array_equal(H, H.T)
 
     def test_density_nonnegative_and_finite(self):
@@ -160,7 +160,7 @@ def test_hessian_sampling_sd_shrinks_at_root_n_rate():
     def hessian_at_zero_sd(n):
         vals = np.empty(reps)
         for r in range(reps):
-            vals[r] = DensityModel(rng.normal(size=n), 1.0).hessian([0.0]).hessian[0, 0]
+            vals[r] = DensityModel(rng.normal(size=n), 1.0).hessian([0.0])[0, 0]
         return float(np.std(vals, ddof=1))
 
     ratio = hessian_at_zero_sd(400) / hessian_at_zero_sd(6400)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modesig import DensityModel, MeanShiftOptions, find_modes, mean_shift_step
+from modesig import DensityModel, MeanShiftOptions, find_modes
+from oracles import mean_shift_step
 
 
 def two_cluster_data(seed=0, sep=5.0, n=100):
@@ -145,6 +146,26 @@ class TestFindModes:
         m = DensityModel(rng.normal(size=(150, 2)), 0.3)
         cands, asg = find_modes(m)
         assert np.all((asg.labels >= 0) & (asg.labels < len(cands)))
+
+    def test_chained_single_linkage_merge(self):
+        # every start is its own endpoint; 0-0.9-1.8-2.7 link only as a chain
+        # (0 and 2.7 are 2.7 apart), so the merge must follow it transitively
+        m = DensityModel(np.linspace(-1.0, 7.0, 50), 1.0)
+        mesh = np.array([0.0, 0.9, 1.8, 2.7, 5.0])[:, None]
+        cands, asg = find_modes(m, mesh=mesh, opts=MeanShiftOptions(step_tol=1e9, merge_tol=1.0))
+        assert len(cands) == 2
+        assert [c.basin_size for c in cands] == [4, 1]
+        assert asg.labels.tolist() == [0, 0, 0, 0, 1]
+
+    def test_candidates_are_mean_shift_fixed_points(self):
+        rng = np.random.default_rng(23)
+        for h in (0.3, 0.7):
+            m = DensityModel(rng.normal(size=(120, 2)), h)
+            step_tol = MeanShiftOptions().resolved(h)[1]
+            cands, _ = find_modes(m)
+            for c in cands:
+                moved = np.linalg.norm(mean_shift_step(m, c.location) - c.location)
+                assert moved <= step_tol + 1e-12 * (1.0 + np.linalg.norm(c.location))
 
     def test_mesh_dimension_mismatch(self):
         m = DensityModel([[0.0, 0.0]], 1.0)

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 KERNELS = r"""
 import hashlib, json
 import numpy as np
-from modesig.boot import _hessian_vech_terms, _resample_counts
+from modesig.boot import _resample_counts
 from modesig.kde import DensityModel, sample_sum
 from modesig.persist import _exact_deviations
 
@@ -35,7 +35,7 @@ for m, n, d in [(700, 1000, 2), (2048, 5000, 10)]:
     out[f"weights_x_points_{m}x{n}x{d}"] = digest(sample_sum(w, model._points_t))
 # counts @ terms: bootstrap Hessians at a fixed point
 for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1)]:
-    terms, _, _ = _hessian_vech_terms(rng.standard_normal((n, d)), 1.0, np.zeros(d))
+    terms = DensityModel(rng.standard_normal((n, d)), 1.0)._hessian_terms(np.zeros(d))
     counts = _resample_counts(n, B, 0)
     out[f"counts_x_terms_{B}x{n}x{d}"] = digest(sample_sum(counts, terms))
 # (counts - 1) @ w.T: one grid chunk of the persistence band
