@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["DensityModel", "as_points"]
 
+_BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
+
 
 # --- input validation -------------------------------------------------------
 
@@ -49,6 +51,12 @@ def _as_query(x, d: int) -> tuple[np.ndarray, bool]:
     if not np.all(np.isfinite(q)):
         raise ValueError("query contains non-finite coordinates")
     return q, single
+
+
+def _row_blocks(m: int, width: int):
+    """Consecutive row slices of an (m, width) array, each within _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, m, step))
 
 
 # --- fixed-order reduction over the sample ----------------------------------
@@ -114,23 +122,36 @@ class DensityModel:
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
         return np.exp(w, out=w)
 
+    def _blocks(self, q: np.ndarray, width: int = 0):
+        """(rows, _exp_weights(q[rows])) over row blocks sized for width max(n, width)."""
+        for rows in _row_blocks(q.shape[0], max(self.n, width)):
+            yield rows, self._exp_weights(q[rows])
+
+    def _weighted_sums(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sum_i w_ji, sum_i w_ji X_i) for each query row q_j, as (m,) and (m, d)."""
+        wsum = np.empty(q.shape[0])
+        wx = np.empty((q.shape[0], self.d))
+        for rows, w in self._blocks(q):
+            wsum[rows] = np.sum(w, axis=1)
+            wx[rows] = sample_sum(w, self._points_t)
+        return wsum, wx
+
     # -- evaluations --
 
     def density(self, x):
         """Density at x: scalar for a (d,) query, (m,) array for (m, d)."""
         q, single = _as_query(x, self.d)
-        vals = self._norm * np.sum(self._exp_weights(q), axis=1)
+        vals = np.empty(q.shape[0])
+        for rows, w in self._blocks(q):
+            vals[rows] = self._norm * np.sum(w, axis=1)
         return float(vals[0]) if single else vals
 
     def gradient(self, x):
         """Gradient of the density at x: (d,) for a single query, else (m, d)."""
         q, single = _as_query(x, self.d)
-        w = self._exp_weights(q)  # (m, n)
-        # grad p(x) = -norm/h^2 * sum_i w_i * (x - X_i)
-        #           = -norm/h^2 * (x * sum_i w_i - w @ X)
-        g = -(self._norm / self.h**2) * (
-            q * np.sum(w, axis=1)[:, None] - sample_sum(w, self._points_t)
-        )
+        wsum, wx = self._weighted_sums(q)
+        # grad p(x) = -norm/h^2 * sum_i w_i * (x - X_i) = -norm/h^2 * (x * sum_i w_i - w @ X)
+        g = -(self._norm / self.h**2) * (q * wsum[:, None] - wx)
         return g[0] if single else g
 
     def hessian(self, x) -> np.ndarray:

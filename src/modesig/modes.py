@@ -19,28 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kde import DensityModel, as_points, sample_sum
+from .kde import DensityModel, _row_blocks, as_points
 
 __all__ = ["MeanShiftOptions", "ModeCandidate", "ClusterAssignment", "find_modes"]
-
-# Cap on per-iteration weight-matrix rows, to bound memory at large meshes.
-_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
 class MeanShiftOptions:
     """Convergence and deduplication thresholds for find_modes.
 
-    Any threshold left as None is resolved against the model bandwidth:
-    step_tol = 1e-7 * h, merge_tol = 1e-2 * h, and grad_tol =
-    1e-6 * peak_density / h (peak taken over the found candidates), so
-    behavior does not depend on the units of the data.
+    A threshold left as None is resolved against the model bandwidth:
+    step_tol = 1e-7 * h and merge_tol = 1e-2 * h, so behavior does not
+    depend on the units of the data.
     """
 
     max_iter: int = 500
     step_tol: float | None = None
     merge_tol: float | None = None
-    grad_tol: float | None = None
 
     def resolved(self, h: float) -> tuple[int, float, float]:
         step = 1e-7 * h if self.step_tol is None else float(self.step_tol)
@@ -67,9 +62,9 @@ class ClusterAssignment:
     labels[i] indexes the candidate list (nearest candidate for trajectories
     that ran out of iterations; -1 only if no trajectory converged at all).
     converged[i] says whether trajectory i met the step tolerance; only
-    converged trajectories count toward basin sizes.  diagnostics carries
-    grad_norms / grad_tol for the candidates, the worst per-step density
-    change (ascent check), and the non-converged count.
+    converged trajectories count toward basin sizes.  diagnostics carries the
+    candidates' grad_norms against grad_tol = 1e-6 * (peak candidate density) / h,
+    the worst per-step density change (ascent check), and the non-converged count.
     """
 
     labels: np.ndarray
@@ -98,6 +93,8 @@ def find_modes(
     (candidates, assignment)
         Candidates sorted by descending density value; assignment labels
         every mesh point and flags non-converged trajectories.
+
+    Kernel weights and endpoint comparisons are blocked by one memory budget.
     """
     opts = opts or MeanShiftOptions()
     max_iter, step_tol, merge_tol = opts.resolved(model.h)
@@ -118,15 +115,8 @@ def find_modes(
     for it in range(max_iter + 1):
         if active.size == 0:
             break
-        shifted = np.empty((active.size, model.d))
-        wsum = np.empty(active.size)
-        for lo in range(0, active.size, _CHUNK_ROWS):
-            rows = active[lo : lo + _CHUNK_ROWS]
-            w = model._exp_weights(current[rows])
-            ws = np.sum(w, axis=1)
-            wsum[lo : lo + len(rows)] = ws
-            safe = np.maximum(ws, 1e-300)
-            shifted[lo : lo + len(rows)] = sample_sum(w, model._points_t) / safe[:, None]
+        wsum, wx = model._weighted_sums(current[active])
+        shifted = wx / np.maximum(wsum, 1e-300)[:, None]
 
         density = model._norm * wsum
         delta_density = density - prev_density[active]
@@ -152,12 +142,12 @@ def find_modes(
         active = rows
 
     return _merge_candidates(
-        model, mesh, endpoint, end_density, iterations, converged, merge_tol, opts, min_ascent_delta
+        model, mesh, endpoint, end_density, iterations, converged, merge_tol, min_ascent_delta
     )
 
 
 def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
-                      merge_tol, opts, min_ascent_delta):
+                      merge_tol, min_ascent_delta):
     """Single-linkage dedup of converged endpoints; build candidates and labels."""
     m = mesh.shape[0]
     conv_idx = np.flatnonzero(converged)
@@ -190,14 +180,18 @@ def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
     _, first = np.unique(group_of[order], return_index=True)
     rep_pts = pts[order[first]]
 
-    # Single linkage over the collapsed representatives: propagate the
-    # smallest group index through `close` until every group carries the
-    # smallest index of its connected component.
-    diff = rep_pts[:, None, :] - rep_pts[None, :, :]
-    close = np.sqrt(np.sum(diff**2, axis=2)) < merge_tol
+    # Single linkage over the collapsed representatives: collect close pairs
+    # in row blocks, then propagate the smallest group index along them until
+    # every group carries the smallest index of its connected component.
+    pairs = []
+    for rows in _row_blocks(n_groups, n_groups * model.d):
+        diff = rep_pts[rows, None, :] - rep_pts[None, :, :]
+        pairs.append(np.argwhere(np.sqrt(np.sum(diff**2, axis=2)) < merge_tol) + [rows.start, 0])
+    near, other = np.concatenate(pairs).T
     label = np.arange(n_groups)
     while True:
-        spread = np.min(np.where(close, label[None, :], n_groups), axis=1)
+        spread = label.copy()
+        np.minimum.at(spread, near, label[other])
         if np.array_equal(spread, label):
             break
         label = spread
@@ -246,7 +240,7 @@ def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
         labels[stray] = np.argmin(d2, axis=1)
 
     peak = float(np.max(best_density))
-    grad_tol = 1e-6 * peak / model.h if opts.grad_tol is None else float(opts.grad_tol)
+    grad_tol = 1e-6 * peak / model.h
     grad_norms = np.array(
         [float(np.linalg.norm(model.gradient(c.location))) for c in candidates]
     )

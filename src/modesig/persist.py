@@ -30,7 +30,6 @@ __all__ = [
     "significant_pairs",
 ]
 
-_GRID_CHUNK = 4096
 _DEFAULT_RES = {1: 128, 2: 128, 3: 64}
 
 
@@ -78,11 +77,8 @@ def _grid_points(axes) -> np.ndarray:
 
 
 def density_grid(model: DensityModel, axes) -> GridFunction:
-    """Evaluate the model on the product grid (chunked, exact)."""
-    q = _grid_points(axes)
-    vals = np.empty(q.shape[0])
-    for lo in range(0, q.shape[0], _GRID_CHUNK):
-        vals[lo : lo + _GRID_CHUNK] = model.density(q[lo : lo + _GRID_CHUNK])
+    """Evaluate the model exactly on the product grid, in bounded kernel blocks."""
+    vals = model.density(_grid_points(axes))
     shape = tuple(len(a) for a in axes)
     return GridFunction(axes=tuple(np.asarray(a, dtype=np.float64) for a in axes),
                         values=vals.reshape(shape))
@@ -193,10 +189,8 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     model = DensityModel(pts, h)
     counts = _resample_counts(pts.shape[0], B, seed)
     counts -= 1.0  # deviation weights: p_star - p_hat = norm * (counts - 1) @ K
-    q = _grid_points(axes)
     dev = np.zeros(B)
-    for lo in range(0, q.shape[0], _GRID_CHUNK):
-        w = model._exp_weights(q[lo : lo + _GRID_CHUNK])  # (g, n)
+    for _, w in model._blocks(_grid_points(axes), B):  # width B: each block also makes (B, g)
         block = _exact_deviations(counts, w)  # (B, g)
         np.maximum(dev, model._norm * np.max(np.abs(block), axis=1), out=dev)
     return ceil_order_statistic(dev, 1.0 - alpha)

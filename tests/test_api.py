@@ -3,6 +3,7 @@
 The benchmark (bench/) and the demos call into `modesig` from outside the
 package, so a name dropped from the API would only show when they run.
 These checks read their sources and resolve each name they reference.
+A last check keeps the kernel-weight blocking inside `modesig.kde`.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import modesig
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "modesig"
 CLIENTS = sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 PUBLIC = [
@@ -79,3 +81,18 @@ def test_benchmark_and_demo_references_resolve():
     assert any(path == "bench/tracing.py" for path, _, _ in refs)
     missing = sorted(r for r in refs if not resolves(r[1], r[2]))
     assert not missing, f"names used outside the package that modesig lacks: {missing}"
+
+
+def test_kernel_weights_built_only_in_kde():
+    # the block budget lives in DensityModel; other modules go through it
+    internals = {"_exp_weights", "_points_t", "sample_sum"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "kde.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            used = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                used.add(node.name)
+            offenders.extend(f"{path.name}: {name}" for name in used & internals)
+    assert not offenders, f"kernel internals used outside kde.py: {sorted(offenders)}"

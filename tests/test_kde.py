@@ -1,10 +1,12 @@
 """Density, gradient, and Hessian checks against closed forms and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modesig import DensityModel, as_points
+from modesig import DensityModel, as_points, density_grid, kde
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -30,6 +32,25 @@ def fd_hessian(model, x, step):
         e[j] = step
         H[:, j] = (model.gradient(x + e) - model.gradient(x - e)) / (2.0 * step)
     return H
+
+
+def direct_density_gradient(points, h, q):
+    """Density and gradient from the unblocked (m, n, d) difference tensor."""
+    n, d = points.shape
+    diff = q[:, None, :] - points[None, :, :]
+    w = np.exp(-np.sum(diff**2, axis=2) / (2.0 * h**2))
+    norm = (2.0 * np.pi) ** (-0.5 * d) / (n * h**d)
+    return norm * w.sum(axis=1), -(norm / h**2) * np.einsum("mn,mnd->md", w, diff)
+
+
+class CountingModel(DensityModel):
+    """Counts the (query, sample) pairs whose kernel weights it builds, as the benchmark does."""
+
+    pairs = 0
+
+    def _exp_weights(self, q):
+        self.pairs += q.shape[0] * self.n
+        return super()._exp_weights(q)
 
 
 class TestClosedForms:
@@ -165,3 +186,42 @@ def test_hessian_sampling_sd_shrinks_at_root_n_rate():
 
     ratio = hessian_at_zero_sd(400) / hessian_at_zero_sd(6400)
     assert 3.0 <= ratio <= 5.0, f"sd ratio {ratio:.2f} outside [3, 5]"
+
+
+class TestBlocking:
+    def test_small_blocks_match_direct_formula(self, monkeypatch):
+        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 3 * 50)  # 3-row blocks, the last partial
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3):
+            pts = rng.normal(size=(50, d))
+            q = rng.normal(scale=1.5, size=(37, d))
+            m = DensityModel(pts, 0.7)
+            dens, grad = direct_density_gradient(pts, 0.7, q)
+            assert_allclose(m.density(q), dens, rtol=1e-13)
+            assert_allclose(m.gradient(q), grad, rtol=1e-13, atol=1e-13 * np.abs(grad).max())
+
+    def test_every_kernel_pair_built_once(self, monkeypatch):
+        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 4 * 30)
+        rng = np.random.default_rng(12)
+        m = CountingModel(rng.normal(size=(30, 2)), 1.0)
+        q = rng.normal(size=(17, 2))
+        m.density(q)
+        assert m.pairs == 17 * 30
+        m.gradient(q)
+        assert m.pairs == 2 * 17 * 30
+        density_grid(m, (np.linspace(-2, 2, 9), np.linspace(-3, 3, 11)))
+        assert m.pairs == 2 * 17 * 30 + 9 * 11 * 30
+
+    def test_memory_bounded_by_block_budget(self):
+        rng = np.random.default_rng(13)
+        m = DensityModel(rng.normal(size=(2000, 2)), 0.5)
+        q = rng.normal(size=(20_000, 2))
+        assert q.shape[0] * m.n >= 16 * kde._BLOCK_ENTRIES
+        for evaluate in (m.density, m.gradient):
+            tracemalloc.start()
+            try:
+                evaluate(q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"

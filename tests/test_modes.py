@@ -1,5 +1,7 @@
 """Mean-shift behavior: fixed points, ascent, dedup, basins, convergence flags."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -166,6 +168,19 @@ class TestFindModes:
             for c in cands:
                 moved = np.linalg.norm(mean_shift_step(m, c.location) - c.location)
                 assert moved <= step_tol + 1e-12 * (1.0 + np.linalg.norm(c.location))
+
+    def test_singleton_merge_memory_bounded(self):
+        # h far below the point spacing: every start is its own mode, so
+        # deduplication compares 1500 endpoint groups in 10 dimensions
+        X = np.random.default_rng(29).standard_normal((1500, 10))
+        tracemalloc.start()
+        try:
+            cands, asg = find_modes(DensityModel(X, 0.05))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cands) == 1500 and asg.diagnostics["n_unconverged"] == 0
+        assert peak < 64 * 2**20, f"find_modes peaked at {peak / 2**20:.0f} MB"
 
     def test_mesh_dimension_mismatch(self):
         m = DensityModel([[0.0, 0.0]], 1.0)

@@ -14,6 +14,7 @@ from modesig import (
     default_axes,
     density_grid,
     generate,
+    kde,
     significant_pairs,
     superlevel_persistence,
 )
@@ -230,6 +231,14 @@ class TestBand:
         b_big = bootstrap_band(big, 1.0, axes, alpha=0.1, B=200, seed=5)
         ratio = b_small / b_big
         assert 1.6 <= ratio <= 2.6, f"ratio {ratio:.2f}"
+
+    def test_block_layout_does_not_move_band(self, monkeypatch):
+        # d = 1 weights are single products, the same bits in any block;
+        # the deviation product is exact, so any layout gives the same band
+        data = np.random.default_rng(14).normal(size=(70, 1))
+        band = bootstrap_band(data, 0.8, self.grid_1d(), alpha=0.1, B=40, seed=2)
+        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 3 * 70)  # 3-row grid blocks
+        assert bootstrap_band(data, 0.8, self.grid_1d(), alpha=0.1, B=40, seed=2) == band
 
     def test_alpha_domain(self):
         data = np.zeros((5, 1))

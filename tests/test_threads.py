@@ -5,7 +5,8 @@ Each product runs in a fresh interpreter with its thread variables pinned,
 since BLAS reads them once at load.  The shapes are ones at which a BLAS
 GEMM over the sample axis was seen to change with the thread count
 (OpenBLAS 0.3.31 on 2 cores), including resample shapes that the
-criterion-7 report never reaches.
+criterion-7 report never reaches, plus the block shapes that the kernel
+budget `kde._BLOCK_ENTRIES` produces at those sample sizes.
 """
 
 import json
@@ -20,7 +21,7 @@ KERNELS = r"""
 import hashlib, json
 import numpy as np
 from modesig.boot import _resample_counts
-from modesig.kde import DensityModel, sample_sum
+from modesig.kde import _BLOCK_ENTRIES, DensityModel, sample_sum
 from modesig.persist import _exact_deviations
 
 def digest(a):
@@ -29,7 +30,7 @@ def digest(a):
 rng = np.random.default_rng(0)
 out = {}
 # w @ points: mean-shift step and stage-2 gradient
-for m, n, d in [(700, 1000, 2), (2048, 5000, 10)]:
+for m, n, d in [(700, 1000, 2), (2048, 5000, 10), (_BLOCK_ENTRIES // 5000, 5000, 10)]:
     model = DensityModel(rng.standard_normal((n, d)), 1.0)
     w = model._exp_weights(rng.standard_normal((m, d)))
     out[f"weights_x_points_{m}x{n}x{d}"] = digest(sample_sum(w, model._points_t))
@@ -38,11 +39,12 @@ for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1)]:
     terms = DensityModel(rng.standard_normal((n, d)), 1.0)._hessian_terms(np.zeros(d))
     counts = _resample_counts(n, B, 0)
     out[f"counts_x_terms_{B}x{n}x{d}"] = digest(sample_sum(counts, terms))
-# (counts - 1) @ w.T: one grid chunk of the persistence band
+# (counts - 1) @ w.T: one block of grid points of the persistence band
 centers = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]])
 pts = centers[rng.integers(0, 3, 2000)] + 0.5 * rng.standard_normal((2000, 3))
-w = DensityModel(pts, 0.8)._exp_weights(rng.uniform(-4.0, 4.0, size=(4096, 3)))
-out["band_200x2000x4096"] = digest(_exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w))
+for g in [4096, _BLOCK_ENTRIES // 2000]:
+    w = DensityModel(pts, 0.8)._exp_weights(rng.uniform(-4.0, 4.0, size=(g, 3)))
+    out[f"band_200x2000x{g}"] = digest(_exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w))
 print(json.dumps(out))
 """
 
