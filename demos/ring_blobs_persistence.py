@@ -12,17 +12,12 @@ import os
 import numpy as np
 
 from modesig import (
-    DensityModel,
     GeneratorSpec,
     ModeTestConfig,
-    PersistenceDiagram,
-    bootstrap_band,
-    default_axes,
-    density_grid,
     generate,
     run_mode_test,
+    run_persistence,
     significant_pairs,
-    superlevel_persistence,
 )
 from modesig.report import emit_report
 
@@ -50,12 +45,9 @@ for port in rep.portraits:
     print(f"  ({x:+.2f}, {y:+.2f})  basin {port.mode.basin_size:3d}  {tag}")
 
 # route 2: superlevel persistence of the density surface, plus a noise band
-axes = default_axes(data, h, resolution=80)
-pairs = superlevel_persistence(density_grid(DensityModel(data, h), axes))
-band = bootstrap_band(data, h, axes, alpha=0.10, B=500, seed=3)
-diagram = PersistenceDiagram(pairs=pairs, band=band)
+diagram = run_persistence(data, h, alpha=0.10, B=500, seed=3, resolution=80)
 kept = significant_pairs(diagram)
-print(f"\npersistence: {pairs.shape[0]} pairs, band {band:.5f}, "
+print(f"\npersistence: {diagram.pairs.shape[0]} pairs, band {diagram.band:.5f}, "
       f"{kept.shape[0]} cleared the 2*band strip")
 
 emit_report(out_dir, config={"h": h, "alpha": 0.10, "B": 500},

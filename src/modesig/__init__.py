@@ -29,6 +29,7 @@ from .persist import (
     bootstrap_band,
     default_axes,
     density_grid,
+    run_persistence,
     significant_pairs,
     superlevel_persistence,
 )
@@ -46,7 +47,7 @@ __all__ = [
     "ClusterAssignment", "MeanShiftOptions", "ModeCandidate", "find_modes",
     "ModeTestConfig", "ModeTestReport", "mode_test_on_split", "run_mode_test", "split",
     "GridFunction", "PersistenceDiagram", "bootstrap_band", "default_axes",
-    "density_grid", "significant_pairs", "superlevel_persistence",
+    "density_grid", "run_persistence", "significant_pairs", "superlevel_persistence",
     "build_document", "dumps_json", "emit_report",
     "__version__",
 ]

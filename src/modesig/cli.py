@@ -16,16 +16,9 @@ import numpy as np
 
 from .bandwidth import default_grid, scan
 from .datasets import FAMILIES, GeneratorSpec, generate
-from .kde import DensityModel, as_points
+from .kde import as_points
 from .modetest import ModeTestConfig, run_mode_test
-from .persist import (
-    PersistenceDiagram,
-    bootstrap_band,
-    default_axes,
-    density_grid,
-    significant_pairs,
-    superlevel_persistence,
-)
+from .persist import run_persistence, significant_pairs
 from .report import emit_report
 
 __all__ = ["main", "load_csv"]
@@ -150,11 +143,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_persist(args) -> int:
     points, source = _resolve_points(args)
-    model = DensityModel(points, args.h)
-    axes = default_axes(points, args.h, resolution=args.grid_res)
-    pairs = superlevel_persistence(density_grid(model, axes))
-    band = bootstrap_band(points, args.h, axes, args.alpha, args.B, args.seed)
-    diagram = PersistenceDiagram(pairs=pairs, band=band)
+    diagram = run_persistence(points, args.h, args.alpha, args.B, args.seed, args.grid_res)
     retained = significant_pairs(diagram).shape[0]
     config = {
         "command": "persist", **source,
@@ -162,7 +151,7 @@ def _cmd_persist(args) -> int:
         "grid_res": args.grid_res, "emit_plots": not args.no_plots,
     }
     emit_report(args.out, config=config, diagram=diagram, emit_plots=not args.no_plots)
-    print(f"{pairs.shape[0]} pair(s), {retained} above the band -> {args.out}/report.json")
+    print(f"{diagram.pairs.shape[0]} pair(s), {retained} above the band -> {args.out}/report.json")
     return 0
 
 

@@ -134,6 +134,7 @@ class DensityModel:
         for rows, w in self._blocks(q):
             wsum[rows] = np.sum(w, axis=1)
             wx[rows] = sample_sum(w, self._points_t)
+            del w  # free this block before the generator builds the next
         return wsum, wx
 
     # -- evaluations --
@@ -144,6 +145,7 @@ class DensityModel:
         vals = np.empty(q.shape[0])
         for rows, w in self._blocks(q):
             vals[rows] = self._norm * np.sum(w, axis=1)
+            del w  # free this block before the generator builds the next
         return float(vals[0]) if single else vals
 
     def gradient(self, x):
@@ -173,6 +175,12 @@ class DensityModel:
         np.tril_indices(d)[r], with u_i = (at - X_i) / h and
         e_i = exp(-||u_i||^2 / 2).
         """
+        # The exponent comes from the differences u_i directly, not from
+        # _exp_weights' expansion, for accuracy: the expansion cancels terms
+        # of size ||X||^2 / h^2.  With 200 points 1,000 h from the origin,
+        # against an np.longdouble reference, its weights were off by up to
+        # 1.2e-10 (d = 2) and 2.1e-10 (d = 10) relative, and this form's by
+        # 6e-16 and 1.9e-15; the Hessians by 3e-11 against 3e-16.
         # The strided points.T (not the contiguous _points_t) fixes the
         # summation order of ||u_i||^2, on which reported bits depend.
         u = (at[:, None] - self.points.T) / self.h  # (d, n)

@@ -104,7 +104,6 @@ def find_modes(
     m = mesh.shape[0]
 
     current = mesh.copy()
-    endpoint = mesh.copy()
     end_density = np.zeros(m)
     iterations = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
@@ -131,7 +130,6 @@ def find_modes(
         # the final sweep only measures convergence and takes no step
         finish = done | dead if it < max_iter else np.ones(active.size, dtype=bool)
         fin_rows = active[finish]
-        endpoint[fin_rows] = current[fin_rows]
         end_density[fin_rows] = density[finish]
         iterations[fin_rows] = it
         converged[fin_rows] = done[finish]
@@ -141,9 +139,17 @@ def find_modes(
         iterations[rows] = it + 1
         active = rows
 
+    # a finished row is never moved again, so `current` holds every endpoint
     return _merge_candidates(
-        model, mesh, endpoint, end_density, iterations, converged, merge_tol, min_ascent_delta
+        model, mesh, current, end_density, iterations, converged, merge_tol, min_ascent_delta
     )
+
+
+def _sq_dist_blocks(a, b):
+    """(rows, ||a[rows, None] - b||^2) over row blocks of a, within the kernel budget."""
+    for rows in _row_blocks(a.shape[0], b.shape[0] * b.shape[1]):
+        diff = a[rows, None, :] - b[None, :, :]
+        yield rows, np.sum(diff**2, axis=2)
 
 
 def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
@@ -171,8 +177,8 @@ def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
     # than merge_tol, then do exact single linkage on the few survivors.
     pitch = merge_tol * 1e-3
     keys = np.round(pts / pitch).astype(np.int64)
-    _, group_of, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    n_groups = counts.shape[0]
+    uniq, group_of = np.unique(keys, axis=0, return_inverse=True)
+    n_groups = uniq.shape[0]
 
     # Representative endpoint per collapsed group: its first member in
     # `order` (density descending, index ascending on ties).
@@ -183,10 +189,8 @@ def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
     # Single linkage over the collapsed representatives: collect close pairs
     # in row blocks, then propagate the smallest group index along them until
     # every group carries the smallest index of its connected component.
-    pairs = []
-    for rows in _row_blocks(n_groups, n_groups * model.d):
-        diff = rep_pts[rows, None, :] - rep_pts[None, :, :]
-        pairs.append(np.argwhere(np.sqrt(np.sum(diff**2, axis=2)) < merge_tol) + [rows.start, 0])
+    pairs = [np.argwhere(np.sqrt(d2) < merge_tol) + [rows.start, 0]
+             for rows, d2 in _sq_dist_blocks(rep_pts, rep_pts)]
     near, other = np.concatenate(pairs).T
     label = np.arange(n_groups)
     while True:
@@ -232,12 +236,8 @@ def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
     stray = np.flatnonzero(~converged)
     if stray.size:
         # label by nearest candidate to the last iterate; excluded from basins
-        d2 = (
-            np.sum(endpoint[stray] ** 2, axis=1)[:, None]
-            + np.sum(locations**2, axis=1)[None, :]
-            - 2.0 * endpoint[stray] @ locations.T
-        )
-        labels[stray] = np.argmin(d2, axis=1)
+        for rows, d2 in _sq_dist_blocks(endpoint[stray], locations):
+            labels[stray[rows]] = np.argmin(d2, axis=1)
 
     peak = float(np.max(best_density))
     grad_tol = 1e-6 * peak / model.h

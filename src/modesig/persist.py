@@ -27,6 +27,7 @@ __all__ = [
     "density_grid",
     "superlevel_persistence",
     "bootstrap_band",
+    "run_persistence",
     "significant_pairs",
 ]
 
@@ -193,7 +194,20 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     for _, w in model._blocks(_grid_points(axes), B):  # width B: each block also makes (B, g)
         block = _exact_deviations(counts, w)  # (B, g)
         np.maximum(dev, model._norm * np.max(np.abs(block), axis=1), out=dev)
+        del w, block  # free this block before the generator builds the next
     return ceil_order_statistic(dev, 1.0 - alpha)
+
+
+def run_persistence(data, h: float, alpha: float = 0.10, B: int = 500, seed: int = 0,
+                    resolution: int | None = None) -> PersistenceDiagram:
+    """The persistence diagram of the KDE on its default grid, with its bootstrap band.
+
+    The grid covers the data plus 3h per side with `resolution` points per
+    axis (default_axes); the band resamples B times from `seed` at level alpha.
+    """
+    axes = default_axes(data, h, resolution=resolution)
+    pairs = superlevel_persistence(density_grid(DensityModel(data, h), axes))
+    return PersistenceDiagram(pairs=pairs, band=bootstrap_band(data, h, axes, alpha, B, seed))
 
 
 def significant_pairs(diag: PersistenceDiagram) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Result serialization: a versioned JSON document plus hand-built SVG figures.
 
-The JSON writer is deliberately hand-rolled: the stdlib encoder formats
-floats with repr's shortest representation, while this document pins every
-float to 17 significant digits ('%.17g'), which round-trips float64
-exactly and keeps the file byte-stable across runs.  SVG figures are
-emitted as plain text with no plotting dependency, so tests can diff them.
+report.json is written by the stdlib encoder with a fixed layout.  Floats
+appear as Python's repr, the shortest text that parses back to the same
+float64, so a report round-trips exactly and identical runs give identical
+bytes.  NaN and infinity are refused.  SVG figures are emitted as plain
+text with no plotting dependency, so tests can diff them.
 """
 
 from __future__ import annotations
@@ -23,53 +23,23 @@ SCHEMA_VERSION = 1
 
 # --- JSON -------------------------------------------------------------------
 
-def _float_str(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(float(x), ".17g")
-
-
-def _write_json(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(f'{pad}  {json.dumps(str(key))}: ')
-            _write_json(val, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(val, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_str(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into the report")
+def _plain(obj):
+    """numpy scalars as the Python scalars json writes; anything else is refused."""
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} into the report")
 
 
 def dumps_json(doc: dict) -> str:
-    out: list[str] = []
-    _write_json(doc, out, 0)
-    out.append("\n")
-    return "".join(out)
+    """The report text: two-space indent, keys in insertion order, finite floats only."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False, default=_plain) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"cannot serialize the report, floats must be finite: {exc}") from exc
 
 
 def build_document(config=None, report=None, scan=None, diagram=None) -> dict:

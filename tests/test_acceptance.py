@@ -17,16 +17,12 @@ from modesig import (
     DensityModel,
     GeneratorSpec,
     ModeTestConfig,
-    PersistenceDiagram,
-    bootstrap_band,
-    default_axes,
-    density_grid,
     find_modes,
     generate,
     run_mode_test,
+    run_persistence,
     scan,
     significant_pairs,
-    superlevel_persistence,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -185,10 +181,8 @@ def test_criterion_6_ring_with_three_blobs():
         sig_locs = [p.mode.location for p in rep.portraits if p.significant]
         local_ok = rep.significant_count == 3 and near_distinct_blobs(sig_locs)
 
-        axes = default_axes(data, h, resolution=80)
-        pairs = superlevel_persistence(density_grid(DensityModel(data, h), axes))
-        band = bootstrap_band(data, h, axes, alpha=0.10, B=500, seed=seed)
-        kept = significant_pairs(PersistenceDiagram(pairs=pairs, band=band))
+        diagram = run_persistence(data, h, alpha=0.10, B=500, seed=seed, resolution=80)
+        kept = significant_pairs(diagram)
         persist_ok = kept.shape[0] == 3
 
         both_ok += (local_ok and persist_ok)
@@ -226,6 +220,9 @@ def test_criterion_7_property_suite_and_thread_determinism(tmp_path):
             OMP_NUM_THREADS=threads,
             OPENBLAS_NUM_THREADS=threads,
             MKL_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
+            ),
         )
         proc = subprocess.run(
             [sys.executable, "-m", "modesig.cli", "test",

@@ -24,7 +24,8 @@ PUBLIC = [
     "bootstrap_band", "bootstrap_hessian_batch", "build_document",
     "default_axes", "default_grid", "density_grid", "dumps_json",
     "eigen_rectangles", "emit_report", "esp_forward", "esp_quantile",
-    "find_modes", "generate", "mode_test_on_split", "run_mode_test", "scan",
+    "find_modes", "generate", "mode_test_on_split", "run_mode_test",
+    "run_persistence", "scan",
     "select_bandwidth", "significant_pairs", "split", "superlevel_persistence",
     "test_significance",
 ]

@@ -172,6 +172,26 @@ class TestModelBasics:
         assert as_points([1.0, 2.0, 3.0]).shape == (3, 1)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("d", [2, 10])
+def test_hessian_accurate_far_from_origin(d):
+    # the data sit 1,000 h from the origin, where an exponent expanded as
+    # ||q||^2 - 2 q.X + ||X||^2 loses about 1e-10 of relative accuracy
+    rng = np.random.default_rng(d)
+    h = 0.5
+    centre = np.full(d, 1000.0 * h / np.sqrt(d))
+    pts = centre + h * rng.normal(size=(200, d))
+    at = centre + 0.1 * h * rng.normal(size=d)
+    L = np.longdouble
+    u = (at.astype(L) - pts.astype(L)) / L(h)
+    e = np.exp(-L(0.5) * np.sum(u * u, axis=1))
+    ref = np.einsum("i,ij,ik->jk", e, u, u) - np.sum(e) * np.eye(d, dtype=L)
+    ref *= (2 * L(np.pi)) ** (-L(d) / 2) / (pts.shape[0] * L(h) ** (d + 2))
+    err = np.max(np.abs(DensityModel(pts, h).hessian(at) - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-13
+
+
 def test_hessian_sampling_sd_shrinks_at_root_n_rate():
     # With h fixed, the sd of the Hessian estimate at a point scales like
     # n**-0.5: quadrupling sd ratio when n grows 16-fold.
@@ -224,4 +244,4 @@ class TestBlocking:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 4 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"
+            assert peak < 1.25 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"

@@ -15,6 +15,7 @@ from modesig import (
     density_grid,
     generate,
     kde,
+    run_persistence,
     significant_pairs,
     superlevel_persistence,
 )
@@ -311,12 +312,6 @@ def test_trimodal_pipeline_retains_three():
         family="mixture", n=900, seed=14,
         params={"means": [[-6.0], [0.0], [6.0]], "cov_diags": [[1.0], [1.0], [1.0]]},
     ))
-    h = 0.9
-    model = DensityModel(data, h)
-    axes = default_axes(data, h)
-    diagram = PersistenceDiagram(
-        pairs=superlevel_persistence(density_grid(model, axes)),
-        band=bootstrap_band(data, h, axes, alpha=0.1, B=300, seed=0),
-    )
+    diagram = run_persistence(data, 0.9, alpha=0.1, B=300, seed=0)
     kept = significant_pairs(diagram)
     assert kept.shape[0] == 3

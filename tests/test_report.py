@@ -1,4 +1,4 @@
-"""JSON document assembly (full float round-trip) and the SVG figures."""
+"""JSON document assembly (shortest round-trip floats) and the SVG figures."""
 
 import json
 
@@ -43,15 +43,19 @@ class TestJson:
         doc = build_document(config={"h": 1.5, "alpha": 0.1}, report=trimodal_report)
         assert json.loads(dumps_json(doc)) == doc
 
-    def test_seventeen_digit_floats(self):
-        text = dumps_json({"x": 1.0 / 3.0})
-        assert "0.33333333333333331" in text
+    def test_shortest_roundtrip_floats(self):
+        text = dumps_json({"x": 1.0 / 3.0, "one": 1.0})
+        # the exact token, not a prefix of a longer one
+        assert json.loads(text, parse_float=str)["x"] == "0.3333333333333333"
         assert json.loads(text)["x"] == 1.0 / 3.0
+        # an integer-valued float stays a float
+        assert isinstance(json.loads(text)["one"], float)
 
     def test_numpy_scalars_accepted(self):
-        doc = {"a": np.float64(0.5), "b": np.int64(3), "c": [np.float64(1.5)]}
+        doc = {"a": np.float64(0.5), "b": np.int64(3), "c": [np.float64(1.5)],
+               "d": np.float32(0.25), "e": np.bool_(True)}
         parsed = json.loads(dumps_json(doc))
-        assert parsed == {"a": 0.5, "b": 3, "c": [1.5]}
+        assert parsed == {"a": 0.5, "b": 3, "c": [1.5], "d": 0.25, "e": True}
 
     def test_booleans_and_null(self):
         text = dumps_json({"t": True, "f": False, "n": None})
