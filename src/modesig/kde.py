@@ -6,9 +6,11 @@ bandwidth ``h`` (isotropic Gaussian kernel, covariance ``h**2 * I``):
     p(x) = (1/n) * sum_i (2*pi)**(-d/2) * h**(-d) * exp(-||x - X_i||**2 / (2 h**2))
 
 Because the kernel is Gaussian, gradient and Hessian are available in
-closed form from the same exponential weights, so a single pass over the
-data yields density, gradient and Hessian together.  Evaluation is exact
-O(n) per query point; no tree or binning approximation is used.
+closed form from the exponential weights.  Density and gradient share one
+blocked pass over the data; Hessians take their weights from direct
+differences in a pass of their own, for accuracy far from the origin.
+Evaluation is exact O(n) per query point; no tree or binning
+approximation is used.
 """
 
 from __future__ import annotations

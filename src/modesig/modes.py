@@ -1,16 +1,19 @@
 """Mode seeking by mean shift, with deduplication and basin labeling.
 
 Each starting point is iterated through the kernel-weighted mean of the
-data until the step length drops below ``step_tol``.  With a Gaussian
-kernel the update satisfies
+data until the step length drops below ``step_tol = STEP_TOL * h``, or
+until ``MeanShiftOptions.max_iter`` steps.  With a Gaussian kernel the
+update satisfies
 
     grad p(a) = p(a) / h**2 * (m(a) - a),
 
 so a trajectory is stopped *at the point where the small step was
 measured*: the returned location then has gradient norm below
 ``p(a) * step_tol / h**2`` by construction.  Converged endpoints are
-merged by single linkage at ``merge_tol`` and each cluster is represented
-by its highest-density endpoint.
+merged by single linkage at ``merge_tol = MERGE_TOL * h`` and each
+cluster is represented by its highest-density endpoint.  Both tolerances
+are fixed multiples of the bandwidth, so behavior does not depend on the
+units of the data.
 """
 
 from __future__ import annotations
@@ -24,25 +27,19 @@ from .kde import DensityModel, _row_blocks, as_points
 __all__ = ["MeanShiftOptions", "ModeCandidate", "ClusterAssignment", "find_modes"]
 
 
+STEP_TOL = 1e-7  # a trajectory stops once its step is shorter than STEP_TOL * h
+MERGE_TOL = 1e-2  # endpoints closer than MERGE_TOL * h merge (single linkage)
+
+
 @dataclass(frozen=True)
 class MeanShiftOptions:
-    """Convergence and deduplication thresholds for find_modes.
+    """Iteration cap for find_modes.
 
-    A threshold left as None is resolved against the model bandwidth:
-    step_tol = 1e-7 * h and merge_tol = 1e-2 * h, so behavior does not
-    depend on the units of the data.
+    A trajectory still moving by STEP_TOL * h or more after max_iter steps
+    is flagged non-converged.
     """
 
     max_iter: int = 500
-    step_tol: float | None = None
-    merge_tol: float | None = None
-
-    def resolved(self, h: float) -> tuple[int, float, float]:
-        step = 1e-7 * h if self.step_tol is None else float(self.step_tol)
-        merge = 1e-2 * h if self.merge_tol is None else float(self.merge_tol)
-        if self.max_iter < 1 or step <= 0 or merge <= 0:
-            raise ValueError("max_iter must be >= 1 and tolerances positive")
-        return int(self.max_iter), step, merge
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ def find_modes(
     mesh : array-like, shape (m, d), optional
         Starting points; defaults to the model's own data points.
     opts : MeanShiftOptions, optional
-        Thresholds; defaults scale with the bandwidth.
+        The iteration cap; the tolerances are STEP_TOL * h and MERGE_TOL * h.
 
     Returns
     -------
@@ -96,8 +93,10 @@ def find_modes(
 
     Kernel weights and endpoint comparisons are blocked by one memory budget.
     """
-    opts = opts or MeanShiftOptions()
-    max_iter, step_tol, merge_tol = opts.resolved(model.h)
+    max_iter = int((opts or MeanShiftOptions()).max_iter)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    step_tol, merge_tol = STEP_TOL * model.h, MERGE_TOL * model.h
     mesh = model.points if mesh is None else as_points(mesh)
     if mesh.shape[1] != model.d:
         raise ValueError("mesh dimension does not match the model")

@@ -7,8 +7,13 @@ into an older component (elder rule).  Each component yields a
 bootstrap sup-norm band epsilon_alpha turns the diagram into a test:
 pairs with lifetime <= 2 * epsilon_alpha are noise.
 
-Grid adjacency is the 2d axis-neighbor stencil.  Ties in grid values are
-broken by flat index, the same convention the test oracle uses.
+Grid adjacency is the 2d axis-neighbor stencil.  Vertices enter the sweep
+in decreasing value order, ties broken by flat index (the test oracle's
+convention); a vertex's entry rank is its place in that order.  The sweep
+is a merge tree over ascent basins (the basin-then-merge scheme of ToMATo,
+Chazal et al. 2013): steepest-ascent pointers label every vertex with its
+basin's peak, and an elder-rule union-find runs over the peaks along the
+basin-boundary edges only.
 """
 
 from __future__ import annotations
@@ -88,31 +93,43 @@ def density_grid(model: DensityModel, axes) -> GridFunction:
 def superlevel_persistence(f: GridFunction) -> np.ndarray:
     """All (death, birth) pairs of the superlevel filtration, lifetime-sorted.
 
-    Vertices enter in decreasing value order (ties by flat index).  A
-    vertex with no processed neighbor starts a component; a vertex joining
-    several components records a death at its own value for each younger
-    component absorbed (elder rule).  The last survivor is the essential
-    pair: born at the global max, assigned death at the global min so
-    every mode appears in the diagram.
+    A vertex enters after its ascent pointer's target, so it joins its
+    basin's component: components are born at basin peaks and merge across
+    basin boundaries, whose edges the union-find takes in entry order.  The
+    last survivor is the essential pair: born at the global max, assigned
+    death at the global min so every mode appears in the diagram.
     """
     values = f.values
-    shape = values.shape
     flat = values.ravel()
-    G = flat.shape[0]
+    G = flat.size
 
     order = np.lexsort((np.arange(G), -flat))
     rank = np.empty(G, dtype=np.int64)
     rank[order] = np.arange(G)
+    rank = rank.reshape(values.shape)
 
-    # Axis-neighbor flat offsets and per-vertex coordinate bounds.
-    strides = np.empty(len(shape), dtype=np.int64)
-    s = 1
-    for a in range(len(shape) - 1, -1, -1):
-        strides[a] = s
-        s *= shape[a]
-    coords = [(np.arange(G) // strides[a]) % shape[a] for a in range(len(shape))]
+    # Ascent forest over entry ranks: a vertex points at the smallest entry
+    # rank among itself and its axis neighbours; indexed by rank, the peaks
+    # are the roots.
+    parent = rank.copy()
+    for axis in range(values.ndim):
+        r, p = np.moveaxis(rank, axis, 0), np.moveaxis(parent, axis, 0)
+        np.minimum(p[:-1], r[1:], out=p[:-1])
+        np.minimum(p[1:], r[:-1], out=p[1:])
+    parent = parent.ravel()[order]
+    while not np.array_equal(parent[parent], parent):  # pointer jumping
+        parent = parent[parent]
+    basin = parent[rank]  # each vertex's peak
 
-    parent = np.arange(G)
+    # Boundary edges, axis by axis: (entry rank of the later end, basin, basin).
+    edges = [np.empty((3, 0), dtype=np.int64)]  # none at all on a 0-d grid
+    for axis in range(values.ndim):
+        b, r = np.moveaxis(basin, axis, 0), np.moveaxis(rank, axis, 0)
+        cross = b[:-1] != b[1:]
+        edges.append(np.stack([np.maximum(r[:-1][cross], r[1:][cross]),
+                               b[:-1][cross], b[1:][cross]]))
+    entry, lo, hi = np.concatenate(edges, axis=1)
+    by_entry = np.argsort(entry)
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -120,37 +137,15 @@ def superlevel_persistence(f: GridFunction) -> np.ndarray:
             i = parent[i]
         return i
 
-    birth_rank = np.full(G, -1, dtype=np.int64)
-    deaths = []
-    births = []
-    for pos in range(G):
-        v = int(order[pos])
-        birth_rank[v] = pos
-        for a in range(len(shape)):
-            c = coords[a][v]
-            for u in ((v - strides[a]) if c > 0 else -1, (v + strides[a]) if c < shape[a] - 1 else -1):
-                if u < 0 or rank[u] > pos:
-                    continue
-                ru = find(int(u))
-                rv = find(v)
-                if ru == rv:
-                    continue
-                if birth_rank[ru] < birth_rank[rv]:
-                    elder, younger = ru, rv
-                else:
-                    elder, younger = rv, ru
-                # a component born at v itself just joins its neighbor;
-                # only a strictly older component dying yields a pair
-                if birth_rank[younger] < pos:
-                    deaths.append(flat[v])
-                    births.append(flat[order[birth_rank[younger]]])
-                parent[younger] = elder
+    deaths, births = [G - 1], [0]  # entry ranks; the essential pair first
+    for t, a, b in zip(entry[by_entry].tolist(), lo[by_entry].tolist(), hi[by_entry].tolist()):
+        a, b = find(a), find(b)
+        if a != b:  # elder rule: the later-born peak's component dies here
+            parent[max(a, b)] = min(a, b)
+            deaths.append(t)
+            births.append(max(a, b))
 
-    # essential component: born at the max, death pinned to the grid min
-    deaths.append(flat[order[-1]])
-    births.append(flat[order[0]])
-
-    pairs = np.stack([np.asarray(deaths), np.asarray(births)], axis=1)
+    pairs = np.stack([flat[order[deaths]], flat[order[births]]], axis=1)
     life = pairs[:, 1] - pairs[:, 0]
     sort = np.lexsort((pairs[:, 0], -pairs[:, 1], -life))
     return pairs[sort]
@@ -187,6 +182,8 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
+    if B < 1:
+        raise ValueError("B must be >= 1")
     model = DensityModel(pts, h)
     counts = _resample_counts(pts.shape[0], B, seed)
     counts -= 1.0  # deviation weights: p_star - p_hat = norm * (counts - 1) @ K

@@ -172,6 +172,13 @@ class TestPersistCommand:
         assert retained == 2
         assert (out / "persistence.svg").exists()
 
+    def test_zero_replicates_rejected(self, spec_file, capsys):
+        spec = spec_file({"n": 50, "seed": 1, "means": [[0.0]]})
+        rc = main(["persist", "--family", "mixture", "--spec", spec,
+                   "--h", "0.8", "--B", "0", "--grid-res", "16"])
+        assert rc == 2
+        assert "error: B must be >= 1" in capsys.readouterr().err
+
 
 class TestBandwidthCommand:
     def test_explicit_grid(self, tmp_path, spec_file):

@@ -1,0 +1,36 @@
+"""The quick demos reproduce their committed outputs byte for byte.
+
+Each demo writes to `<script dir>/out/<name>`, so it runs from a copy in a
+temporary directory, in a fresh interpreter with one BLAS thread.  The
+ten-dimensional demo takes several seconds and is left to a manual run.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+
+
+@pytest.mark.parametrize("script, name", [
+    ("one_dimensional_modes.py", "one_dim"),
+    ("ring_blobs_persistence.py", "ring"),
+    ("bandwidth_scan.py", "bandwidth"),
+])
+def test_demo_reproduces_committed_output(tmp_path, script, name):
+    shutil.copy(DEMOS / script, tmp_path / script)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    expected = sorted(p.name for p in (DEMOS / "out" / name).iterdir())
+    got = sorted(p.name for p in (tmp_path / "out" / name).iterdir())
+    assert got == expected
+    for fname in expected:
+        assert (tmp_path / "out" / name / fname).read_bytes() == \
+            (DEMOS / "out" / name / fname).read_bytes(), fname

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modesig import DensityModel, MeanShiftOptions, find_modes
+from modesig import DensityModel, MeanShiftOptions, find_modes, modes
 from oracles import mean_shift_step
 
 
@@ -84,7 +84,7 @@ class TestFindModes:
         cands, _ = find_modes(m)
         dens = [c.density_value for c in cands]
         assert dens == sorted(dens, reverse=True)
-        _, _, merge_tol = MeanShiftOptions().resolved(m.h)
+        merge_tol = modes.MERGE_TOL * m.h
         for i in range(len(cands)):
             for j in range(i + 1, len(cands)):
                 assert np.linalg.norm(cands[i].location - cands[j].location) >= merge_tol
@@ -111,7 +111,7 @@ class TestFindModes:
         locs = np.array([c.location for c in cands])
         again, _ = find_modes(m, mesh=locs)
         assert len(again) == len(cands)
-        _, _, merge_tol = MeanShiftOptions().resolved(m.h)
+        merge_tol = modes.MERGE_TOL * m.h
         for a, b in zip(again, cands):
             assert np.linalg.norm(a.location - b.location) < merge_tol
 
@@ -149,12 +149,14 @@ class TestFindModes:
         cands, asg = find_modes(m)
         assert np.all((asg.labels >= 0) & (asg.labels < len(cands)))
 
-    def test_chained_single_linkage_merge(self):
+    def test_chained_single_linkage_merge(self, monkeypatch):
         # every start is its own endpoint; 0-0.9-1.8-2.7 link only as a chain
         # (0 and 2.7 are 2.7 apart), so the merge must follow it transitively
         m = DensityModel(np.linspace(-1.0, 7.0, 50), 1.0)
         mesh = np.array([0.0, 0.9, 1.8, 2.7, 5.0])[:, None]
-        cands, asg = find_modes(m, mesh=mesh, opts=MeanShiftOptions(step_tol=1e9, merge_tol=1.0))
+        monkeypatch.setattr(modes, "STEP_TOL", 1e9)  # h = 1: absolute step_tol 1e9
+        monkeypatch.setattr(modes, "MERGE_TOL", 1.0)  # and merge_tol 1.0
+        cands, asg = find_modes(m, mesh=mesh)
         assert len(cands) == 2
         assert [c.basin_size for c in cands] == [4, 1]
         assert asg.labels.tolist() == [0, 0, 0, 0, 1]
@@ -163,7 +165,7 @@ class TestFindModes:
         rng = np.random.default_rng(23)
         for h in (0.3, 0.7):
             m = DensityModel(rng.normal(size=(120, 2)), h)
-            step_tol = MeanShiftOptions().resolved(h)[1]
+            step_tol = modes.STEP_TOL * h
             cands, _ = find_modes(m)
             for c in cands:
                 moved = np.linalg.norm(mean_shift_step(m, c.location) - c.location)

@@ -12,6 +12,7 @@ from modesig import (
     ModeTestConfig,
     generate,
     mode_test_on_split,
+    modes,
     run_mode_test,
     split,
 )
@@ -106,10 +107,11 @@ class TestReportShape:
         assert g.shape == (rep.k,)
         assert np.all(np.isfinite(g)) and np.all(g >= 0)
 
-    def test_overmoothed_no_candidate_survives(self):
+    def test_overmoothed_no_candidate_survives(self, monkeypatch):
         # force stage 1 to stop before converging on anything
         data = np.random.default_rng(9).normal(size=(80, 1))
-        opts = MeanShiftOptions(max_iter=3, step_tol=1e-300)
+        monkeypatch.setattr(modes, "STEP_TOL", 1e-300)  # h = 1: absolute step_tol 1e-300
+        opts = MeanShiftOptions(max_iter=3)
         rep = run_mode_test(data, ModeTestConfig(h=1.0, mean_shift=opts))
         assert rep.k == 0
         assert rep.significant_count == 0

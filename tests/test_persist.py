@@ -1,5 +1,7 @@
 """Superlevel-set persistence against an independent connected-components oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -138,6 +140,19 @@ class TestAgainstOracle:
             z = rng.normal(size=(8, 8, 8))
             f = GridFunction(tuple(np.arange(8.0) for _ in range(3)), z)
             assert np.array_equal(superlevel_persistence(f), persistence_oracle(z))
+        for _ in range(6):  # integer values: ties, broken by flat index
+            shape = tuple(rng.integers(2, 7, size=3))
+            z = rng.integers(0, 4, size=shape).astype(np.float64)
+            f = GridFunction(tuple(np.arange(float(s)) for s in shape), z)
+            assert np.array_equal(superlevel_persistence(f), persistence_oracle(z))
+
+    def test_length_one_axes(self):
+        # a length-1 axis has no edges along it
+        rng = np.random.default_rng(15)
+        for shape in [(1, 9), (9, 1), (6, 1, 5), (1, 1, 7), (1,), (1, 1)]:
+            for z in (rng.normal(size=shape), rng.integers(0, 3, size=shape).astype(np.float64)):
+                f = GridFunction(tuple(np.arange(float(s)) for s in shape), z)
+                assert np.array_equal(superlevel_persistence(f), persistence_oracle(z))
 
     def test_kde_grids(self):
         data = generate(GeneratorSpec(
@@ -153,6 +168,27 @@ class TestAgainstOracle:
         ))
         f2 = density_grid(DensityModel(data2, 0.7), default_axes(data2, 0.7, resolution=36))
         assert np.array_equal(superlevel_persistence(f2), persistence_oracle(f2.values))
+
+
+def test_memory_bounded_on_smooth_grid():
+    # three Gaussian bumps on 64^3: per-axis boundary edges keep the peak at
+    # a few copies of the grid (about 6x values.nbytes); building all d * G
+    # grid edges at once would take over 20x
+    ax = np.linspace(-4.0, 4.0, 64)
+    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+    values = sum(np.exp(-((x - a) ** 2 + (y - b) ** 2 + (z - c) ** 2))
+                 for a, b, c in [(-2.0, -2.0, 0.0), (2.0, -2.0, 0.0), (0.0, 2.0, 1.0)])
+    f = GridFunction((ax, ax, ax), values)
+    nbytes = values.nbytes
+    del x, y, z
+    tracemalloc.start()
+    try:
+        pairs = superlevel_persistence(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape == (3, 2)
+    assert peak < 10 * nbytes, f"peak {peak / nbytes:.1f}x values.nbytes"
 
 
 class TestPairCount:
@@ -245,6 +281,12 @@ class TestBand:
         data = np.zeros((5, 1))
         with pytest.raises(ValueError):
             bootstrap_band(data, 1.0, self.grid_1d(), alpha=0.0, B=5, seed=0)
+
+    @pytest.mark.parametrize("B", [0, -1])
+    def test_replicate_count_domain(self, B):
+        data = np.zeros((5, 1))
+        with pytest.raises(ValueError, match="B must be >= 1"):
+            bootstrap_band(data, 1.0, self.grid_1d(), alpha=0.1, B=B, seed=0)
 
 
 class TestSignificantPairs:
