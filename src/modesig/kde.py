@@ -90,8 +90,12 @@ class DensityModel:
 
     Notes
     -----
-    The model is immutable after construction; all evaluations are pure
-    functions of (points, h, query) and safe to call concurrently.
+    The model keeps a private read-only copy of the sample and never changes
+    after construction, so evaluations are safe to call concurrently.  Sums
+    over the sample have the same bits at any BLAS thread count (sample_sum),
+    but the kernel exponent's contraction over the d coordinates is a BLAS
+    product: a query row's last bits can depend on the rows evaluated with
+    it and, for some block shapes, on the thread count.
     """
 
     def __init__(self, points, h: float):
@@ -99,7 +103,9 @@ class DensityModel:
         h = float(h)
         if not (h > 0.0 and np.isfinite(h)):
             raise ValueError(f"bandwidth must be positive and finite, got {h}")
-        self.points = pts
+        # A private C-ordered copy: the caller's array stays writable, and
+        # summation orders (hence bits) do not depend on its memory layout.
+        self.points = pts = pts.copy()
         self.points.setflags(write=False)
         self.n, self.d = pts.shape
         self.h = h
@@ -107,18 +113,24 @@ class DensityModel:
         self._norm = (2.0 * np.pi) ** (-0.5 * self.d) / (self.n * h**self.d)
         # (d, n) contiguous copy: the second operand of every sample_sum.
         self._points_t = np.ascontiguousarray(pts.T)
-        # ||X_i||^2 / (2 h^2), the query-independent term of the kernel exponent.
-        self._half_sq = np.sum(pts**2, axis=1) / (2.0 * h**2)
+        # The kernel exponent is expanded about the sample mean, so its
+        # cancellation error does not grow with the data's distance from the
+        # origin: (X - c)^T and ||X_i - c||^2 / (2 h^2), its query-independent term.
+        self._center = np.mean(pts, axis=0)
+        centered = pts - self._center
+        self._centered_t = np.ascontiguousarray(centered.T)
+        self._half_sq = np.sum(centered**2, axis=1) / (2.0 * h**2)
 
     # -- kernel weights shared by every evaluation --
 
     def _exp_weights(self, q: np.ndarray) -> np.ndarray:
         """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, n) matrix."""
-        # Exponent via the expansion (q.x - ||q||^2/2 - ||x||^2/2) / h^2, built,
-        # clipped and exponentiated in one buffer.  The matmul contracts over
-        # the d coordinates only; reductions over the sample go through
-        # sample_sum, never BLAS.
-        w = (q / self.h**2) @ self._points_t
+        # Exponent via the expansion (q.x - ||q||^2/2 - ||x||^2/2) / h^2 of the
+        # centered q = q_j - c and x = X_i - c, built, clipped and exponentiated
+        # in one buffer.  The matmul contracts over the d coordinates only;
+        # reductions over the sample go through sample_sum, never BLAS.
+        q = q - self._center
+        w = (q / self.h**2) @ self._centered_t
         w -= (np.sum(q**2, axis=1) / (2.0 * self.h**2))[:, None]
         w -= self._half_sq[None, :]
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
@@ -179,10 +191,11 @@ class DensityModel:
         """
         # The exponent comes from the differences u_i directly, not from
         # _exp_weights' expansion, for accuracy: the expansion cancels terms
-        # of size ||X||^2 / h^2.  With 200 points 1,000 h from the origin,
-        # against an np.longdouble reference, its weights were off by up to
-        # 1.2e-10 (d = 2) and 2.1e-10 (d = 10) relative, and this form's by
-        # 6e-16 and 1.9e-15; the Hessians by 3e-11 against 3e-16.
+        # of size ||X - c||^2 / h^2 about the sample mean c.  With 200 points
+        # in two clusters 60 h apart, against an np.longdouble reference,
+        # Hessians from its weights were off by up to 4.8e-14 (d = 2) and
+        # 1.5e-13 (d = 10) of the largest entry, and this form's by 3.6e-16
+        # and 1e-15.
         # The strided points.T (not the contiguous _points_t) fixes the
         # summation order of ||u_i||^2, on which reported bits depend.
         u = (at[:, None] - self.points.T) / self.h  # (d, n)

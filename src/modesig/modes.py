@@ -9,11 +9,14 @@ update satisfies
 
 so a trajectory is stopped *at the point where the small step was
 measured*: the returned location then has gradient norm below
-``p(a) * step_tol / h**2`` by construction.  Converged endpoints are
-merged by single linkage at ``merge_tol = MERGE_TOL * h`` and each
-cluster is represented by its highest-density endpoint.  Both tolerances
-are fixed multiples of the bandwidth, so behavior does not depend on the
-units of the data.
+``p(a) * step_tol / h**2`` by construction.  Mean shift climbs the
+density monotonically, so the sweep already knows every endpoint's
+density.  Converged endpoints are merged by single linkage at
+``merge_tol = MERGE_TOL * h``; one density order of the endpoints picks
+each cluster's candidate, its highest-density endpoint, and orders the
+candidates.  A run in which nothing converges takes the same path and
+yields no candidate.  Both tolerances are fixed multiples of the
+bandwidth, so behavior does not depend on the units of the data.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ class ClusterAssignment:
     converged trajectories count toward basin sizes.  diagnostics carries the
     candidates' grad_norms against grad_tol = 1e-6 * (peak candidate density) / h,
     the worst per-step density change (ascent check), and the non-converged count.
+    With no candidate, grad_norms is empty and grad_tol is NaN.
     """
 
     labels: np.ndarray
@@ -88,8 +92,10 @@ def find_modes(
     Returns
     -------
     (candidates, assignment)
-        Candidates sorted by descending density value; assignment labels
-        every mesh point and flags non-converged trajectories.
+        Candidates sorted by descending density value, ties in the order
+        of their clusters' collapsed endpoint keys; none if no trajectory
+        converged.  assignment labels every mesh point and flags
+        non-converged trajectories.
 
     Kernel weights and endpoint comparisons are blocked by one memory budget.
     """
@@ -103,10 +109,9 @@ def find_modes(
     m = mesh.shape[0]
 
     current = mesh.copy()
-    end_density = np.zeros(m)
+    density = np.zeros(m)  # each row's latest density: its endpoint density once it finishes
     iterations = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
-    prev_density = np.full(m, -np.inf)
     min_ascent_delta = np.inf  # most negative observed p(a_{t+1}) - p(a_t)
 
     active = np.arange(m)
@@ -116,12 +121,10 @@ def find_modes(
         wsum, wx = model._weighted_sums(current[active])
         shifted = wx / np.maximum(wsum, 1e-300)[:, None]
 
-        density = model._norm * wsum
-        delta_density = density - prev_density[active]
-        finite_prev = np.isfinite(prev_density[active])
-        if np.any(finite_prev):
-            min_ascent_delta = min(min_ascent_delta, float(np.min(delta_density[finite_prev])))
-        prev_density[active] = density
+        new_density = model._norm * wsum
+        if it:  # every row still active was also evaluated at the previous sweep
+            min_ascent_delta = min(min_ascent_delta, float(np.min(new_density - density[active])))
+        density[active] = new_density
 
         dead = wsum <= 0.0  # absurdly far starts: no neighborhood at all
         step = np.linalg.norm(shifted - current[active], axis=1)
@@ -129,19 +132,14 @@ def find_modes(
         # the final sweep only measures convergence and takes no step
         finish = done | dead if it < max_iter else np.ones(active.size, dtype=bool)
         fin_rows = active[finish]
-        end_density[fin_rows] = density[finish]
         iterations[fin_rows] = it
         converged[fin_rows] = done[finish]
-        keep = ~finish
-        rows = active[keep]
-        current[rows] = shifted[keep]
-        iterations[rows] = it + 1
-        active = rows
+        active = active[~finish]
+        current[active] = shifted[~finish]
 
     # a finished row is never moved again, so `current` holds every endpoint
-    return _merge_candidates(
-        model, mesh, current, end_density, iterations, converged, merge_tol, min_ascent_delta
-    )
+    return _merge_candidates(model, current, density, iterations, converged, merge_tol,
+                             min_ascent_delta)
 
 
 def _sq_dist_blocks(a, b):
@@ -151,106 +149,79 @@ def _sq_dist_blocks(a, b):
         yield rows, np.sum(diff**2, axis=2)
 
 
-def _merge_candidates(model, mesh, endpoint, end_density, iterations, converged,
-                      merge_tol, min_ascent_delta):
+def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol,
+                      min_ascent_delta):
     """Single-linkage dedup of converged endpoints; build candidates and labels."""
-    m = mesh.shape[0]
     conv_idx = np.flatnonzero(converged)
-    if conv_idx.size == 0:
-        assignment = ClusterAssignment(
-            labels=np.full(m, -1, dtype=np.int64),
-            converged=converged,
-            diagnostics={
-                "n_unconverged": int(m),
-                "min_ascent_delta": min_ascent_delta,
-                "grad_norms": np.zeros(0),
-                "grad_tol": np.nan,
-            },
-        )
-        return [], assignment
-
     pts = endpoint[conv_idx]
-    dens = end_density[conv_idx]
+    dens = density[conv_idx]
 
     # Endpoints of one basin agree to ~step_tol; collapse on a grid far finer
     # than merge_tol, then do exact single linkage on the few survivors.
     pitch = merge_tol * 1e-3
     keys = np.round(pts / pitch).astype(np.int64)
     uniq, group_of = np.unique(keys, axis=0, return_inverse=True)
-    n_groups = uniq.shape[0]
 
     # Representative endpoint per collapsed group: its first member in
     # `order` (density descending, index ascending on ties).
-    order = np.lexsort((np.arange(conv_idx.size), -dens))
+    order = np.argsort(-dens, kind="stable")
     _, first = np.unique(group_of[order], return_index=True)
     rep_pts = pts[order[first]]
 
     # Single linkage over the collapsed representatives: collect close pairs
     # in row blocks, then propagate the smallest group index along them until
     # every group carries the smallest index of its connected component.
-    pairs = [np.argwhere(np.sqrt(d2) < merge_tol) + [rows.start, 0]
-             for rows, d2 in _sq_dist_blocks(rep_pts, rep_pts)]
+    pairs = [np.empty((0, 2), dtype=np.int64)]  # none at all without two groups
+    pairs += [np.argwhere(np.sqrt(d2) < merge_tol) + [rows.start, 0]
+              for rows, d2 in _sq_dist_blocks(rep_pts, rep_pts)]
     near, other = np.concatenate(pairs).T
-    label = np.arange(n_groups)
+    label = np.arange(uniq.shape[0])
     while True:
         spread = label.copy()
         np.minimum.at(spread, near, label[other])
         if np.array_equal(spread, label):
             break
         label = spread
-    cluster_ids, cluster_of_group = np.unique(label, return_inverse=True)
-    k = cluster_ids.shape[0]
+    component = label[group_of]
 
-    # Per cluster: representative = highest-density member endpoint.
-    member_cluster = cluster_of_group[group_of]
-    _, first = np.unique(member_cluster[order], return_index=True)
-    best_member = order[first]
-    best_density = dens[best_member]
-    basin = np.bincount(member_cluster, minlength=k)
+    # A component's candidate is its first endpoint in `order`.  Candidates
+    # run by descending density, ties in component order; `rank` maps a
+    # component's label to its candidate's index.
+    roots, first = np.unique(component[order], return_index=True)
+    by_density = np.argsort(-dens[order[first]], kind="stable")
+    best = order[first[by_density]]
+    k = best.size
+    rank = np.empty(label.shape[0], dtype=np.int64)
+    rank[roots[by_density]] = np.arange(k)
+    member = rank[component]
+    basin = np.bincount(member, minlength=k)
     max_iters = np.zeros(k, dtype=np.int64)
-    np.maximum.at(max_iters, member_cluster, iterations[conv_idx])
+    np.maximum.at(max_iters, member, iterations[conv_idx])
 
-    # Sort candidates by descending density (stable, so ties keep cluster order).
-    sort = np.argsort(-best_density, kind="stable")
-    rank = np.empty(k, dtype=np.int64)
-    rank[sort] = np.arange(k)
+    locations = pts[best]
+    locations.setflags(write=False)
+    candidates = [
+        ModeCandidate(location=loc, density_value=float(dens[b]), basin_size=int(size),
+                      iterations=int(iters))
+        for loc, b, size, iters in zip(locations, best, basin, max_iters)
+    ]
 
-    candidates = []
-    locations = np.empty((k, model.d))
-    for new, old in enumerate(sort):
-        loc = pts[best_member[old]].copy()
-        loc.setflags(write=False)
-        locations[new] = loc
-        candidates.append(
-            ModeCandidate(
-                location=loc,
-                density_value=float(best_density[old]),
-                basin_size=int(basin[old]),
-                iterations=int(max_iters[old]),
-            )
-        )
-
-    labels = np.full(m, -1, dtype=np.int64)
-    labels[conv_idx] = rank[member_cluster]
+    labels = np.full(endpoint.shape[0], -1, dtype=np.int64)
+    labels[conv_idx] = member
     stray = np.flatnonzero(~converged)
-    if stray.size:
+    if k:
         # label by nearest candidate to the last iterate; excluded from basins
         for rows, d2 in _sq_dist_blocks(endpoint[stray], locations):
             labels[stray[rows]] = np.argmin(d2, axis=1)
 
-    peak = float(np.max(best_density))
-    grad_tol = 1e-6 * peak / model.h
-    grad_norms = np.array(
-        [float(np.linalg.norm(model.gradient(c.location))) for c in candidates]
-    )
     assignment = ClusterAssignment(
         labels=labels,
         converged=converged,
         diagnostics={
             "n_unconverged": int(stray.size),
             "min_ascent_delta": min_ascent_delta,
-            "grad_norms": grad_norms,
-            "grad_tol": grad_tol,
+            "grad_norms": np.linalg.norm(model.gradient(locations), axis=1),
+            "grad_tol": 1e-6 * (float(dens[best[0]]) if k else np.nan) / model.h,
         },
     )
     return candidates, assignment

@@ -201,10 +201,12 @@ def run_persistence(data, h: float, alpha: float = 0.10, B: int = 500, seed: int
 
     The grid covers the data plus 3h per side with `resolution` points per
     axis (default_axes); the band resamples B times from `seed` at level alpha.
+    The band comes first, so a bad alpha or B fails before any grid work.
     """
     axes = default_axes(data, h, resolution=resolution)
+    band = bootstrap_band(data, h, axes, alpha, B, seed)
     pairs = superlevel_persistence(density_grid(DensityModel(data, h), axes))
-    return PersistenceDiagram(pairs=pairs, band=bootstrap_band(data, h, axes, alpha, B, seed))
+    return PersistenceDiagram(pairs=pairs, band=band)
 
 
 def significant_pairs(diag: PersistenceDiagram) -> np.ndarray:

@@ -1,8 +1,7 @@
-"""The quick demos reproduce their committed outputs byte for byte.
+"""The demos reproduce their committed outputs byte for byte.
 
 Each demo writes to `<script dir>/out/<name>`, so it runs from a copy in a
-temporary directory, in a fresh interpreter with one BLAS thread.  The
-ten-dimensional demo takes several seconds and is left to a manual run.
+temporary directory, in a fresh interpreter with one BLAS thread.
 """
 
 import os
@@ -21,6 +20,7 @@ DEMOS = ROOT / "demos"
     ("one_dimensional_modes.py", "one_dim"),
     ("ring_blobs_persistence.py", "ring"),
     ("bandwidth_scan.py", "bandwidth"),
+    ("ten_dimensional_eigenportraits.py", "ten_dim"),
 ])
 def test_demo_reproduces_committed_output(tmp_path, script, name):
     shutil.copy(DEMOS / script, tmp_path / script)

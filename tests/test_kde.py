@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modesig import DensityModel, as_points, density_grid, kde
+from modesig import DensityModel, as_points, bootstrap_hessian_batch, density_grid, kde
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -171,13 +171,34 @@ class TestModelBasics:
     def test_as_points_promotes_1d(self):
         assert as_points([1.0, 2.0, 3.0]).shape == (3, 1)
 
+    def test_caller_array_stays_writable(self):
+        a = np.random.default_rng(4).normal(size=(30, 2))
+        m = DensityModel(a, 1.0)
+        bootstrap_hessian_batch(a, 1.0, [np.zeros(2)], B=3, seed=0)
+        a[0, 0] = 7.0
+        assert m.points[0, 0] != 7.0 and not m.points.flags.writeable
+
+    def test_memory_layout_does_not_move_bits(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(300, 10))
+        q = rng.normal(scale=0.5, size=(6, 10))
+        c, f = DensityModel(a, 1.3), DensityModel(np.asfortranarray(a), 1.3)
+        assert f.density(q).tobytes() == c.density(q).tobytes()
+        assert f.gradient(q).tobytes() == c.gradient(q).tobytes()
+        assert f.hessian(q[0]).tobytes() == c.hessian(q[0]).tobytes()
+        draws_c, draws_f = (bootstrap_hessian_batch(x, 1.3, q[:2], B=5, seed=1)
+                            for x in (a, np.asfortranarray(a)))
+        for dc, df in zip(draws_c, draws_f):
+            assert df.lambda_star.tobytes() == dc.lambda_star.tobytes()
+
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="np.longdouble is no wider than float64 here")
 @pytest.mark.parametrize("d", [2, 10])
 def test_hessian_accurate_far_from_origin(d):
-    # the data sit 1,000 h from the origin, where an exponent expanded as
-    # ||q||^2 - 2 q.X + ||X||^2 loses about 1e-10 of relative accuracy
+    # the data sit 1,000 h from the origin, where an exponent expanded about
+    # the origin as ||q||^2 - 2 q.X + ||X||^2 would lose about 1e-10 of
+    # relative accuracy
     rng = np.random.default_rng(d)
     h = 0.5
     centre = np.full(d, 1000.0 * h / np.sqrt(d))

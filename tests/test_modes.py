@@ -142,6 +142,25 @@ class TestFindModes:
         assert len(cands) == 0
         assert not np.any(asg.converged)
         assert np.all(asg.labels == -1)
+        diag = asg.diagnostics
+        assert diag["n_unconverged"] == data.shape[0]
+        assert diag["grad_norms"].shape == (0,)
+        assert np.isnan(diag["grad_tol"])
+        assert np.isfinite(diag["min_ascent_delta"])
+
+    def test_translation_does_not_move_modes(self):
+        # the kernel exponent is expanded about the sample mean, so data far
+        # from the origin lose no accuracy to cancellation
+        rng = np.random.default_rng(23)
+        data = np.concatenate([rng.normal(-2.0, 0.6, (300, 2)), rng.normal(2.0, 0.6, (300, 2))])
+        shift = np.array([1e6, -1e6])  # h = 1
+        near, far = DensityModel(data, 1.0), DensityModel(data + shift, 1.0)
+        c0, _ = find_modes(near)
+        c1, asg = find_modes(far)
+        assert len(c1) == len(c0) == 2
+        assert asg.diagnostics["n_unconverged"] == 0
+        assert_allclose([c.density_value for c in c1], [c.density_value for c in c0], rtol=1e-9)
+        assert_allclose(far.density(data + shift), near.density(data), rtol=1e-9)
 
     def test_every_label_references_a_candidate(self):
         rng = np.random.default_rng(19)

@@ -17,6 +17,7 @@ from modesig import (
     density_grid,
     generate,
     kde,
+    persist,
     run_persistence,
     significant_pairs,
     superlevel_persistence,
@@ -287,6 +288,17 @@ class TestBand:
         data = np.zeros((5, 1))
         with pytest.raises(ValueError, match="B must be >= 1"):
             bootstrap_band(data, 1.0, self.grid_1d(), alpha=0.1, B=B, seed=0)
+
+
+@pytest.mark.parametrize("bad", [{"B": 0}, {"alpha": 1.0}])
+def test_run_persistence_checks_band_arguments_before_grid_work(monkeypatch, bad):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was evaluated before B and alpha were checked")
+
+    monkeypatch.setattr(persist, "density_grid", no_grid)
+    data = np.random.default_rng(15).normal(size=(40, 2))
+    with pytest.raises(ValueError):
+        run_persistence(data, 0.8, **bad)
 
 
 class TestSignificantPairs:
