@@ -9,11 +9,17 @@ Because the kernel is Gaussian, gradient and Hessian are available in
 closed form from the exponential weights.  Density and gradient share one
 blocked pass over the data; Hessians take their weights from direct
 differences in a pass of their own, for accuracy far from the origin.
-Evaluation is exact O(n) per query point; no tree or binning
-approximation is used.
+On an axis-aligned product grid the kernel factors over the axes,
+exp(-||g - X_i||^2 / 2h^2) = prod_j exp(-(g_j - X_ij)^2 / 2h^2), so grids
+are evaluated in bounded tiles from per-axis factors: a tile of
+t_1 x ... x t_d points costs (t_1 + ... + t_d) * n exponentials, not
+(t_1 * ... * t_d) * n.  Evaluation is exact O(n) per query point; no tree
+or binning approximation is used.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -55,10 +61,35 @@ def _as_query(x, d: int) -> tuple[np.ndarray, bool]:
     return q, single
 
 
+def _as_axes(axes, d: int) -> tuple:
+    """Check that grid axes are d non-empty, finite 1-d float arrays, and return them."""
+    axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
+    if len(axes) != d:
+        raise ValueError(f"expected {d} grid axes for {d}-d data, got {len(axes)}")
+    for j, a in enumerate(axes):
+        if a.ndim != 1 or a.size == 0:
+            raise ValueError(f"grid axis {j} must be a non-empty 1-d array, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"grid axis {j} contains non-finite values")
+    return axes
+
+
 def _row_blocks(m: int, width: int):
     """Consecutive row slices of an (m, width) array, each within _BLOCK_ENTRIES entries."""
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, m, step))
+
+
+def _tile_weights(factors: list) -> np.ndarray:
+    """A tile's kernel weights, (t_1 * ... * t_d, n) with rows in C order over the tile.
+
+    They are the broadcast product of the tile's per-axis factors (t_j, n),
+    taken in axis order.
+    """
+    w = factors[0]
+    for f in factors[1:]:
+        w = (w[:, None, :] * f).reshape(-1, f.shape[1])
+    return w
 
 
 # --- fixed-order reduction over the sample ----------------------------------
@@ -92,10 +123,12 @@ class DensityModel:
     -----
     The model keeps a private read-only copy of the sample and never changes
     after construction, so evaluations are safe to call concurrently.  Sums
-    over the sample have the same bits at any BLAS thread count (sample_sum),
-    but the kernel exponent's contraction over the d coordinates is a BLAS
-    product: a query row's last bits can depend on the rows evaluated with
-    it and, for some block shapes, on the thread count.
+    over the sample have the same bits at any BLAS thread count (sample_sum).
+    For density, gradient and mean shift the kernel exponent's contraction
+    over the d coordinates is a BLAS product: a query row's last bits can
+    depend on the rows evaluated with it and, for some block shapes, on the
+    thread count.  Grid evaluations take no such product: their weights come
+    from per-axis factors of direct differences (_grid_tiles).
     """
 
     def __init__(self, points, h: float):
@@ -136,10 +169,41 @@ class DensityModel:
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
         return np.exp(w, out=w)
 
-    def _blocks(self, q: np.ndarray, width: int = 0):
-        """(rows, _exp_weights(q[rows])) over row blocks sized for width max(n, width)."""
-        for rows in _row_blocks(q.shape[0], max(self.n, width)):
+    def _blocks(self, q: np.ndarray):
+        """(rows, _exp_weights(q[rows])) over row blocks within the kernel budget."""
+        for rows in _row_blocks(q.shape[0], self.n):
             yield rows, self._exp_weights(q[rows])
+
+    def _axis_factor(self, j: int, a: np.ndarray) -> np.ndarray:
+        """exp(-((a_r - X_ij) / h)^2 / 2) as a (len(a), n) matrix, from direct differences."""
+        f = a[:, None] - self._points_t[j]
+        f /= self.h
+        f *= f
+        f *= -0.5
+        return np.exp(f, out=f)
+
+    def _grid_tiles(self, axes, width: int = 0):
+        """(box, factors) over the tiles of the product grid of `axes`.
+
+        box is a tuple of slices into the grid and factors[j] the (t_j, n)
+        kernel factor of axis j over box[j] (_axis_factor); _tile_weights
+        turns them into the tile's kernel weights.  A tile of
+        t_1 x ... x t_d points holds at most
+        _BLOCK_ENTRIES // (max(n, width) + d * n) of them, so its weights (or
+        a (width, tile) product of them) and its factors (sum_j t_j <=
+        d * prod_j t_j rows of n) stay within the budget together.  Tiles
+        take whole runs of the last axes first; the layout depends only on
+        the grid shape, n and width.  The axes are checked here, before any
+        tile is built (_as_axes).
+        """
+        axes = _as_axes(axes, self.d)
+        tile, left = [], max(1, _BLOCK_ENTRIES // (max(self.n, width) + self.d * self.n))
+        for a in reversed(axes):
+            tile.insert(0, min(a.size, left))
+            left //= tile[0]
+        spans = [[slice(lo, lo + t) for lo in range(0, a.size, t)] for a, t in zip(axes, tile)]
+        return ((box, [self._axis_factor(j, a[s]) for j, (a, s) in enumerate(zip(axes, box))])
+                for box in itertools.product(*spans))
 
     def _weighted_sums(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(sum_i w_ji, sum_i w_ji X_i) for each query row q_j, as (m,) and (m, d)."""
@@ -169,6 +233,22 @@ class DensityModel:
         # grad p(x) = -norm/h^2 * sum_i w_i * (x - X_i) = -norm/h^2 * (x * sum_i w_i - w @ X)
         g = -(self._norm / self.h**2) * (q * wsum[:, None] - wx)
         return g[0] if single else g
+
+    def _grid_density(self, axes) -> np.ndarray:
+        """Density on the product grid of `axes`, as an array of the grid's shape.
+
+        Each tile's leading-axes weights are contracted with its last-axis
+        factor over the sample (sample_sum), so the values have the same
+        bits at any BLAS thread count.
+        """
+        tiles = self._grid_tiles(axes)  # checks the axes
+        values = np.empty([len(a) for a in axes])
+        for box, factors in tiles:
+            lead = _tile_weights([np.ones((1, self.n)), *factors[:-1]])
+            tile = self._norm * sample_sum(lead, factors[-1])
+            values[box] = tile.reshape([f.shape[0] for f in factors])
+            del factors, lead  # free this tile before the next is built
+        return values
 
     def hessian(self, x) -> np.ndarray:
         """Hessian of the density at a single point x, an exactly symmetric (d, d) matrix."""

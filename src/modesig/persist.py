@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boot import ceil_order_statistic, _resample_counts
-from .kde import DensityModel, as_points
+from .kde import DensityModel, _tile_weights, as_points
 
 __all__ = [
     "GridFunction",
@@ -77,17 +77,15 @@ def default_axes(points, h: float, resolution: int | None = None) -> tuple:
     )
 
 
-def _grid_points(axes) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def density_grid(model: DensityModel, axes) -> GridFunction:
-    """Evaluate the model exactly on the product grid, in bounded kernel blocks."""
-    vals = model.density(_grid_points(axes))
-    shape = tuple(len(a) for a in axes)
-    return GridFunction(axes=tuple(np.asarray(a, dtype=np.float64) for a in axes),
-                        values=vals.reshape(shape))
+    """Evaluate the model exactly on the product grid of `axes`.
+
+    The grid is evaluated in bounded tiles from per-axis kernel factors, with
+    the same bits at any BLAS thread count.  Raises ValueError unless `axes`
+    holds one non-empty, finite 1-d axis per coordinate of the model.
+    """
+    axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
+    return GridFunction(axes=axes, values=model._grid_density(axes))
 
 
 def superlevel_persistence(f: GridFunction) -> np.ndarray:
@@ -177,7 +175,12 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     Each replicate resamples the data with replacement and measures
     max over the grid of |p_hat_star - p_hat|; the band is the same
     ceiling order statistic used for the ESP quantile, at level 1 - alpha.
-    Grid evaluation understates the continuum sup-norm slightly.
+    Grid evaluation understates the continuum sup-norm slightly.  The grid's
+    kernel weights are built tile by tile from per-axis factors, each tile
+    within the kernel budget for width max(n, B), and the deviations come
+    from an exact product, so the band does not depend on the tile layout
+    or the BLAS thread count.  Raises ValueError for bad alpha or B, and
+    unless `axes` holds one non-empty, finite 1-d axis per coordinate.
     """
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
@@ -188,10 +191,10 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     counts = _resample_counts(pts.shape[0], B, seed)
     counts -= 1.0  # deviation weights: p_star - p_hat = norm * (counts - 1) @ K
     dev = np.zeros(B)
-    for _, w in model._blocks(_grid_points(axes), B):  # width B: each block also makes (B, g)
-        block = _exact_deviations(counts, w)  # (B, g)
+    for _, factors in model._grid_tiles(axes, B):  # width B: each tile also makes (B, g)
+        block = _exact_deviations(counts, _tile_weights(factors))  # (B, g)
         np.maximum(dev, model._norm * np.max(np.abs(block), axis=1), out=dev)
-        del w, block  # free this block before the generator builds the next
+        del factors, block  # free this tile before the generator builds the next
     return ceil_order_statistic(dev, 1.0 - alpha)
 
 

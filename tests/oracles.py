@@ -77,3 +77,20 @@ def mean_shift_step(model, a) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("empty neighborhood: all kernel weights underflowed to zero")
     return w @ model.points / total
+
+
+def grid_density(points, h, axes) -> np.ndarray:
+    """The KDE on the product grid of `axes`, in np.longdouble.
+
+    Every exponent comes from the direct differences g - X_i, summed over
+    the coordinates before one exponential per (grid point, sample) pair.
+    """
+    L = np.longdouble
+    pts = np.asarray(points, dtype=L)
+    n, d = pts.shape
+    mesh = np.meshgrid(*(np.asarray(a, dtype=L) for a in axes), indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    u = (grid[:, None, :] - pts[None, :, :]) / L(h)
+    dens = np.sum(np.exp(-L(0.5) * np.sum(u * u, axis=2)), axis=1)
+    dens *= (2 * L(np.pi)) ** (-L(d) / 2) / (n * L(h) ** d)
+    return dens.reshape(mesh[0].shape)

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modesig import DensityModel, as_points, bootstrap_hessian_batch, density_grid, kde
+from modesig import (
+    DensityModel,
+    as_points,
+    bootstrap_band,
+    bootstrap_hessian_batch,
+    default_axes,
+    density_grid,
+    kde,
+)
+from oracles import grid_density
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -250,8 +259,18 @@ class TestBlocking:
         assert m.pairs == 17 * 30
         m.gradient(q)
         assert m.pairs == 2 * 17 * 30
-        density_grid(m, (np.linspace(-2, 2, 9), np.linspace(-3, 3, 11)))
-        assert m.pairs == 2 * 17 * 30 + 9 * 11 * 30
+        # grids take their weights from per-axis factors, not _exp_weights;
+        # a budget of cap * (n + d n) entries makes tiles of at most cap
+        # points, which leave a ragged last tile along one axis, so a tile
+        # missed or taken twice moves some value off the oracle
+        for shape, cap in [((9,), 4), ((9, 11), 4), ((9, 11), 25), ((3, 5, 7), 14)]:
+            monkeypatch.setattr(kde, "_BLOCK_ENTRIES", cap * 30 * (1 + len(shape)))
+            m = CountingModel(rng.normal(size=(30, len(shape))), 1.0)
+            axes = tuple(np.linspace(-2.0 - j, 2.0 + j, r) for j, r in enumerate(shape))
+            f = density_grid(m, axes)
+            assert m.pairs == 0
+            ref = grid_density(m.points, 1.0, axes)
+            assert np.max(np.abs(f.values - ref)) <= 2e-15 * np.max(ref), shape
 
     def test_memory_bounded_by_block_budget(self):
         rng = np.random.default_rng(13)
@@ -266,3 +285,24 @@ class TestBlocking:
             finally:
                 tracemalloc.stop()
             assert peak < 1.25 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"
+
+    def test_grid_memory_bounded_by_block_budget(self):
+        # at n = 40,000 a tile holds at most 17 points of the 128^2 grid, so
+        # its weights and factors fit the budget; factor matrices over whole
+        # axes would take 7x the budget
+        rng = np.random.default_rng(16)
+        pts = rng.normal(size=(40_000, 2))
+        axes = default_axes(pts, 0.5)
+        m = DensityModel(pts, 0.5)
+        B = 4
+        bounds = {"density_grid": 1.25 * kde._BLOCK_ENTRIES * 8,
+                  "bootstrap_band": 1.25 * kde._BLOCK_ENTRIES * 8 + B * pts.shape[0] * 8}
+        for name, evaluate in [("density_grid", lambda: density_grid(m, axes)),
+                               ("bootstrap_band", lambda: bootstrap_band(pts, 0.5, axes, 0.1, B, 0))]:
+            tracemalloc.start()
+            try:
+                evaluate()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bounds[name], f"{name} peaked at {peak} bytes"

@@ -22,6 +22,7 @@ from modesig import (
     significant_pairs,
     superlevel_persistence,
 )
+from oracles import grid_density
 
 
 def sort_pairs(pairs):
@@ -345,14 +346,34 @@ class TestGridHelpers:
         with pytest.raises(ValueError):
             default_axes(np.zeros((4, 1)), h=1.0, resolution=1)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="np.longdouble is no wider than float64 here")
     def test_density_grid_matches_direct_evaluation(self):
-        data = np.random.default_rng(12).normal(size=(40, 2))
-        m = DensityModel(data, 0.7)
-        axes = (np.linspace(-2, 2, 9), np.linspace(-3, 3, 11))
-        f = density_grid(m, axes)
-        xx, yy = np.meshgrid(*axes, indexing="ij")
-        direct = m.density(np.stack([xx.ravel(), yy.ravel()], axis=1)).reshape(9, 11)
-        assert np.array_equal(f.values, direct)
+        # three blobs about 20 h apart: an exponent expanded about the sample
+        # mean cancels terms of size ||X - c||^2 / h^2 and lands near 1e-14
+        rng = np.random.default_rng(12)
+        for d, res in [(1, 200), (2, 40), (3, 14)]:
+            centres = rng.uniform(-6.0, 6.0, size=(3, d))
+            data = centres[rng.integers(0, 3, 150)] + 0.5 * rng.normal(size=(150, d))
+            axes = default_axes(data, 0.4, resolution=res)
+            f = density_grid(DensityModel(data, 0.4), axes)
+            ref = grid_density(data, 0.4, axes)
+            assert np.max(np.abs(f.values - ref)) <= 2e-15 * np.max(ref), d
+
+    @pytest.mark.parametrize("bad, message", [
+        ((np.linspace(-3.0, 3.0, 9),), "expected 2 grid axes"),
+        ((np.linspace(-3.0, 3.0, 9), np.array([0.0, np.nan, 1.0])), "non-finite"),
+        ((np.linspace(-3.0, 3.0, 9), np.array([])), "non-empty 1-d"),
+        ((np.linspace(-3.0, 3.0, 9), np.zeros((3, 2))), "non-empty 1-d"),
+    ], ids=["one_axis", "nan", "empty", "two_dim"])
+    @pytest.mark.parametrize("evaluate", ["density_grid", "bootstrap_band"])
+    def test_bad_axes_rejected(self, evaluate, bad, message):
+        data = np.random.default_rng(17).normal(size=(30, 2))
+        with pytest.raises(ValueError, match=message):
+            if evaluate == "density_grid":
+                density_grid(DensityModel(data, 0.7), bad)
+            else:
+                bootstrap_band(data, 0.7, bad, alpha=0.1, B=5, seed=0)
 
     def test_grid_function_validation(self):
         with pytest.raises(ValueError, match="shape"):

@@ -1,5 +1,5 @@
-"""Kernel-level thread invariance: reductions over the sample give the same
-bits at 1 and 2 BLAS threads.
+"""Kernel-level thread invariance: reductions over the sample, and the
+persistence grid built from them, give the same bits at 1 and 2 BLAS threads.
 
 Each product runs in a fresh interpreter with its thread variables pinned,
 since BLAS reads them once at load.  The shapes are ones at which a BLAS
@@ -49,7 +49,25 @@ print(json.dumps(out))
 """
 
 
-def kernel_digests(threads: str) -> dict:
+# density_grid on 2-d samples at h = 0.5 over default_axes' 128^2 grid; each
+# (seed, n) here once gave different bytes at 1 and 2 threads, when grid
+# values came from a BLAS product over the coordinates
+GRIDS = r"""
+import hashlib, json
+import numpy as np
+from modesig import DensityModel, default_axes, density_grid
+
+out = {}
+for seed, n in [(0, 700), (1, 300), (2, 300), (3, 500), (3, 700)]:
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2)) * [3.0, 1.0] + 4.0 * rng.integers(0, 3, (n, 1))
+    values = density_grid(DensityModel(x, 0.5), default_axes(x, 0.5)).values
+    out[f"density_grid_{seed}_{n}"] = hashlib.sha256(values.tobytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def digests(script: str, threads: str) -> dict:
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS=threads,
@@ -58,14 +76,22 @@ def kernel_digests(threads: str) -> dict:
         PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
     )
     proc = subprocess.run(
-        [sys.executable, "-c", KERNELS], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_sample_reductions_identical_at_1_and_2_threads():
-    one, two = kernel_digests("1"), kernel_digests("2")
+def assert_thread_invariant(script: str):
+    one, two = digests(script, "1"), digests(script, "2")
     assert one.keys() == two.keys()
     differ = sorted(k for k in one if one[k] != two[k])
     assert not differ, f"products that change with the thread count: {differ}"
+
+
+def test_sample_reductions_identical_at_1_and_2_threads():
+    assert_thread_invariant(KERNELS)
+
+
+def test_density_grid_identical_at_1_and_2_threads():
+    assert_thread_invariant(GRIDS)
