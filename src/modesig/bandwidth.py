@@ -22,6 +22,8 @@ from .modetest import ModeTestConfig, ModeTestReport, mode_test_on_split, split
 
 __all__ = ["BandwidthScan", "default_grid", "select_bandwidth", "scan"]
 
+GRID_LO, GRID_HI = 0.05, 2.0  # default grid ends, as multiples of the largest marginal sd
+
 
 @dataclass(frozen=True)
 class BandwidthScan:
@@ -35,19 +37,17 @@ class BandwidthScan:
     reports: tuple  # full per-h ModeTestReport objects
 
 
-def default_grid(points, count: int = 30, lo: float = 0.05, hi: float = 2.0) -> np.ndarray:
-    """Geometric h grid spanning [lo, hi] times the largest marginal sd."""
+def default_grid(points, count: int = 30) -> np.ndarray:
+    """Geometric h grid spanning [GRID_LO, GRID_HI] times the largest marginal sd."""
     pts = as_points(points)
     if count < 2:
         raise ValueError("grid needs at least 2 bandwidths")
-    if not (0.0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
     if pts.shape[0] < 2:
         raise ValueError("need at least 2 points to set a default grid")
     sigma = float(np.max(np.std(pts, axis=0, ddof=1)))
     if sigma <= 0.0:
         raise ValueError("data has zero spread; supply an explicit grid")
-    return np.geomspace(lo * sigma, hi * sigma, count)
+    return np.geomspace(GRID_LO * sigma, GRID_HI * sigma, count)
 
 
 def select_bandwidth(grid: np.ndarray, significant_counts: np.ndarray) -> tuple[float, int]:

@@ -121,25 +121,27 @@ def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[Boot
     h : float
         Bandwidth.
     points : sequence of array-like, each of shape (d,)
-        Fixed evaluation points (candidate modes).
+        Fixed evaluation points (candidate modes), e.g. the rows of a (k, d) array.
     B : int
         Number of bootstrap replicates (>= 1).
     seed : int
         Base seed; replicate b uses the stream keyed by (seed, b).
 
     Each replicate's count vector depends only on (seed, b), so the draws
-    at a point do not depend on which other points share the call.
+    at a point do not depend on which other points share the call.  B and
+    the points are checked before any resampling.
     """
-    model = DensityModel(Y, h)
     if B < 1:
         raise ValueError("B must be >= 1")
+    model = DensityModel(Y, h)
+    points = [np.asarray(p, dtype=np.float64) for p in points]
+    for i, at in enumerate(points):
+        if at.shape != (model.d,) or not np.all(np.isfinite(at)):
+            raise ValueError(f"point {i} must be {model.d} finite coordinates, got {at}")
     counts = _resample_counts(model.n, B, seed)
     ones = np.ones((1, model.n))
     out = []
-    for p in points:
-        at = np.asarray(p, dtype=np.float64)
-        if at.shape != (model.d,):
-            raise ValueError(f"point must have shape ({model.d},)")
+    for at in points:
         terms = model._hessian_terms(at)
         # eigvalsh sorts ascending; rows are reported descending
         lam_star = np.linalg.eigvalsh(model._hessians(counts, terms))[:, ::-1]

@@ -88,6 +88,8 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
         return mean + np.sqrt(cov) * rng.standard_normal((n, mean.shape[0]))
 
     if spec.family == "mixture":
+        if "means" not in p:
+            raise ValueError("mixture spec must contain 'means'")
         means = np.asarray(p["means"], dtype=np.float64)
         if means.ndim == 1:
             means = means[:, None]

@@ -5,7 +5,7 @@ Stage 2, on the other half (Y), bootstraps the KDE Hessian at each fixed
 candidate location and certifies a mode when the confidence interval for
 the top curvature gamma_1 = -lambda_1 lies strictly above zero.  Testing
 k candidates at level 1 - alpha/k each gives family-wise level alpha
-(Bonferroni), with k the realized stage-1 count.
+(Bonferroni), with k the realized stage-1 count; k = 0 takes the same path.
 
 Splitting matters: the candidate locations are fixed, not data-dependent,
 from the viewpoint of the Y half, so the bootstrap distribution is the
@@ -49,8 +49,8 @@ class ModeTestConfig:
 class ModeTestReport:
     """Candidates, their portraits, and verdict counts for one run."""
 
-    candidates: list[ModeCandidate]
-    portraits: list[EigenPortrait]
+    candidates: tuple[ModeCandidate, ...]
+    portraits: tuple[EigenPortrait, ...]
     k: int
     significant_count: int
     stage2_gradient_norms: np.ndarray
@@ -73,37 +73,28 @@ def split(data, seed: int):
 
 
 def mode_test_on_split(X, Y, cfg: ModeTestConfig) -> ModeTestReport:
-    """Run stage 1 on X and stage 2 on Y (the halves are taken as given)."""
+    """Run stage 1 on X and stage 2 on Y (the halves are taken as given).
+
+    Stage 2 takes all k candidates at once, as a (k, d) matrix, each at
+    level 1 - alpha/k; k = 0 takes the same path and reports no portrait.
+    """
     X = as_points(X)
     Y = as_points(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError("halves disagree on dimension")
 
-    model_x = DensityModel(X, cfg.h)
-    candidates, assignment = find_modes(model_x, mesh=None, opts=cfg.mean_shift)
+    candidates, assignment = find_modes(DensityModel(X, cfg.h), mesh=None, opts=cfg.mean_shift)
     k = len(candidates)
-    if k == 0:
-        return ModeTestReport(
-            candidates=(), portraits=(), k=0, significant_count=0,
-            stage2_gradient_norms=np.zeros(0), assignment=assignment,
-        )
-
-    model_y = DensityModel(Y, cfg.h)
-    locations = [c.location for c in candidates]
-    grad_norms = np.array(
-        [float(np.linalg.norm(model_y.gradient(loc))) for loc in locations]
+    locations = np.array([c.location for c in candidates]).reshape(k, X.shape[1])
+    grad_norms = np.linalg.norm(DensityModel(Y, cfg.h).gradient(locations), axis=1)
+    draws = bootstrap_hessian_batch(Y, cfg.h, locations, cfg.B, cfg.boot_seed)
+    portraits = tuple(
+        replace(eigen_rectangles(draw, esp_quantile(draw, cfg.alpha / k)), mode=cand)
+        for cand, draw in zip(candidates, draws)
     )
-
-    level_alpha = cfg.alpha / k
-    draws_per_mode = bootstrap_hessian_batch(Y, cfg.h, locations, cfg.B, cfg.boot_seed)
-    portraits: list[EigenPortrait] = []
-    for cand, draws in zip(candidates, draws_per_mode):
-        cs = esp_quantile(draws, level_alpha)
-        portraits.append(replace(eigen_rectangles(draws, cs), mode=cand))
-
     return ModeTestReport(
         candidates=tuple(candidates),
-        portraits=tuple(portraits),
+        portraits=portraits,
         k=k,
         significant_count=sum(p.significant for p in portraits),
         stage2_gradient_norms=grad_norms,

@@ -179,8 +179,8 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     kernel weights are built tile by tile from per-axis factors, each tile
     within the kernel budget for width max(n, B), and the deviations come
     from an exact product, so the band does not depend on the tile layout
-    or the BLAS thread count.  Raises ValueError for bad alpha or B, and
-    unless `axes` holds one non-empty, finite 1-d axis per coordinate.
+    or the BLAS thread count.  Before any resampling, raises ValueError for bad
+    alpha or B, and unless `axes` holds one non-empty, finite 1-d axis per coordinate.
     """
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
@@ -188,10 +188,11 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     if B < 1:
         raise ValueError("B must be >= 1")
     model = DensityModel(pts, h)
+    tiles = model._grid_tiles(axes, B)  # checks the axes; width B: each tile also makes (B, g)
     counts = _resample_counts(pts.shape[0], B, seed)
     counts -= 1.0  # deviation weights: p_star - p_hat = norm * (counts - 1) @ K
     dev = np.zeros(B)
-    for _, factors in model._grid_tiles(axes, B):  # width B: each tile also makes (B, g)
+    for _, factors in tiles:
         block = _exact_deviations(counts, _tile_weights(factors))  # (B, g)
         np.maximum(dev, model._norm * np.max(np.abs(block), axis=1), out=dev)
         del factors, block  # free this tile before the generator builds the next

@@ -5,7 +5,12 @@ textbook form, so a test can check the library's faster or fused version
 against it.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from modesig import (DensityModel, ModeTestReport, bootstrap_hessian_batch, eigen_rectangles,
+                     esp_quantile, find_modes)
 
 MAX_DIM = 32
 SYMMETRY_TOL = 1e-10
@@ -94,3 +99,29 @@ def grid_density(points, h, axes) -> np.ndarray:
     dens = np.sum(np.exp(-L(0.5) * np.sum(u * u, axis=2)), axis=1)
     dens *= (2 * L(np.pi)) ** (-L(d) / 2) / (n * L(h) ** d)
     return dens.reshape(mesh[0].shape)
+
+
+def mode_test_reference(X, Y, cfg):
+    """Both stages of the mode test, stage 2 one candidate at a time.
+
+    Stage 1 is find_modes on X.  Each candidate then gets its own gradient
+    call and its own bootstrap call on Y, tested at level 1 - alpha/k; a run
+    with no candidate returns an empty report before stage 2.
+    """
+    candidates, assignment = find_modes(DensityModel(X, cfg.h), mesh=None, opts=cfg.mean_shift)
+    k = len(candidates)
+    if k == 0:
+        return ModeTestReport(candidates=(), portraits=(), k=0, significant_count=0,
+                              stage2_gradient_norms=np.zeros(0), assignment=assignment)
+    model_y = DensityModel(Y, cfg.h)
+    grad_norms, portraits = [], []
+    for cand in candidates:
+        grad_norms.append(float(np.linalg.norm(model_y.gradient(cand.location))))
+        (draws,) = bootstrap_hessian_batch(Y, cfg.h, [cand.location], cfg.B, cfg.boot_seed)
+        cs = esp_quantile(draws, cfg.alpha / k)
+        portraits.append(replace(eigen_rectangles(draws, cs), mode=cand))
+    return ModeTestReport(
+        candidates=tuple(candidates), portraits=tuple(portraits), k=k,
+        significant_count=sum(p.significant for p in portraits),
+        stage2_gradient_norms=np.array(grad_norms), assignment=assignment,
+    )

@@ -40,8 +40,6 @@ class TestDefaultGrid:
         data = np.zeros((5, 1)) + np.arange(5)[:, None]
         with pytest.raises(ValueError):
             default_grid(data, count=1)
-        with pytest.raises(ValueError):
-            default_grid(data, lo=0.5, hi=0.2)
 
 
 class TestSelectBandwidth:

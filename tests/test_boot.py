@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from modesig import (
     BootstrapDraws,
+    boot,
     DensityModel,
     EspConfidenceSet,
     bootstrap_hessian_batch,
@@ -107,6 +108,19 @@ class TestDraws:
             bootstrap_hessian(np.zeros((3, 1)), -1.0, np.zeros(1), B=5, seed=0)
         with pytest.raises(ValueError):
             bootstrap_hessian(np.zeros((3, 1)), 1.0, np.zeros(2), B=5, seed=0)
+
+    @pytest.mark.parametrize("B, points, message", [
+        (0, [np.zeros(2)], "B must be"),
+        (5, [np.zeros(2), np.zeros(3)], r"point 1 must be 2 finite coordinates, got \[0\. 0\. 0\.\]"),
+        (5, [np.zeros(2), np.zeros(2), [0, np.nan]], r"point 2 must be .*, got \[ 0\. nan\]"),
+    ], ids=["B", "shape", "nan"])
+    def test_inputs_checked_before_resampling(self, monkeypatch, B, points, message):
+        def no_draw(*args):
+            raise AssertionError("counts drawn before the inputs were checked")
+        monkeypatch.setattr(boot, "_resample_counts", no_draw)
+        Y = np.random.default_rng(2).normal(size=(20, 2))
+        with pytest.raises(ValueError, match=message):
+            bootstrap_hessian_batch(Y, 1.0, points, B=B, seed=0)
 
 
 class TestQuantile:

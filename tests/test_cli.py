@@ -90,6 +90,11 @@ class TestSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_mixture_without_means(self, spec_file, capsys):
+        rc = main(["simulate", "--family", "mixture", "--spec", spec_file({"n": 10})])
+        assert rc == 2
+        assert "error: mixture spec must contain 'means'" in capsys.readouterr().err
+
 
 class TestTestCommand:
     def test_matches_library_run(self, tmp_path, spec_file):

@@ -97,6 +97,10 @@ class TestMixture:
                 params={"means": [[0.0], [1.0]], "weights": [-0.1, 1.1]},
             ))
 
+    def test_means_required(self):
+        with pytest.raises(ValueError, match="'means'"):
+            generate(GeneratorSpec(family="mixture", n=10))
+
     def test_cov_table_shape(self):
         with pytest.raises(ValueError, match="cov_diags"):
             generate(GeneratorSpec(

@@ -16,6 +16,7 @@ from modesig import (
     run_mode_test,
     split,
 )
+from oracles import mode_test_reference
 
 
 def trimodal(n, seed):
@@ -117,6 +118,37 @@ class TestReportShape:
         assert rep.significant_count == 0
         assert rep.portraits == ()
         assert rep.stage2_gradient_norms.shape == (0,)
+
+
+def mixture_halves(d, seed):
+    """Halves of a three-Gaussian mixture in d dimensions, 8 sd between neighbours."""
+    centers = np.array([-8.0, 0.0, 8.0])[:, None] * np.ones(d) / np.sqrt(d)
+    return split(generate(GeneratorSpec(
+        family="mixture", n=400, seed=seed,
+        params={"means": centers.tolist()},
+    )), seed)
+
+
+@pytest.mark.parametrize("max_iter", [500, 1], ids=["converged", "no_candidate"])
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_matches_per_candidate_reference(d, max_iter):
+    # max_iter=1 stops every trajectory before it can converge: k = 0
+    X, Y = mixture_halves(d, seed=d)
+    cfg = ModeTestConfig(h=1.0, B=100, boot_seed=3, mean_shift=MeanShiftOptions(max_iter=max_iter))
+    rep, ref = mode_test_on_split(X, Y, cfg), mode_test_reference(X, Y, cfg)
+    assert (rep.k, rep.significant_count) == (ref.k, ref.significant_count)
+    assert (rep.k > 0) == (max_iter > 1)
+    for ca, cb in zip(rep.candidates, ref.candidates, strict=True):
+        assert ca.location.tobytes() == cb.location.tobytes()
+        assert (ca.density_value, ca.basin_size, ca.iterations) == (
+            cb.density_value, cb.basin_size, cb.iterations)
+    for pa, pb, cand in zip(rep.portraits, ref.portraits, rep.candidates, strict=True):
+        assert pa.mode is cand
+        assert np.array_equal(pa.rectangles, pb.rectangles)
+        assert np.array_equal(pa.c_interval, pb.c_interval)
+        assert (pa.significant, pa.level) == (pb.significant, pb.level)
+    assert rep.stage2_gradient_norms.shape == (rep.k,)
+    assert_allclose(rep.stage2_gradient_norms, ref.stage2_gradient_norms, rtol=1e-12, atol=0)
 
 
 class TestDeterminismAndInvariance:

@@ -367,7 +367,10 @@ class TestGridHelpers:
         ((np.linspace(-3.0, 3.0, 9), np.zeros((3, 2))), "non-empty 1-d"),
     ], ids=["one_axis", "nan", "empty", "two_dim"])
     @pytest.mark.parametrize("evaluate", ["density_grid", "bootstrap_band"])
-    def test_bad_axes_rejected(self, evaluate, bad, message):
+    def test_bad_axes_rejected(self, monkeypatch, evaluate, bad, message):
+        def no_draw(*args):
+            raise AssertionError("counts drawn before the axes were checked")
+        monkeypatch.setattr(persist, "_resample_counts", no_draw)
         data = np.random.default_rng(17).normal(size=(30, 2))
         with pytest.raises(ValueError, match=message):
             if evaluate == "density_grid":
