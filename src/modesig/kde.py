@@ -6,9 +6,10 @@ bandwidth ``h`` (isotropic Gaussian kernel, covariance ``h**2 * I``):
     p(x) = (1/n) * sum_i (2*pi)**(-d/2) * h**(-d) * exp(-||x - X_i||**2 / (2 h**2))
 
 Because the kernel is Gaussian, gradient and Hessian are available in
-closed form from the exponential weights.  Density and gradient share one
-blocked pass over the data; Hessians take their weights from direct
-differences in a pass of their own, for accuracy far from the origin.
+closed form from the exponential weights.  The sample is kept as given for
+direct differences (grid factors, Hessian terms) and centered on its mean c for
+the exponent and every sum, which density, gradient and mean shift take in one
+blocked pass about c, so they stay accurate far from the origin.
 On an axis-aligned product grid the kernel factors over the axes,
 exp(-||g - X_i||^2 / 2h^2) = prod_j exp(-(g_j - X_ij)^2 / 2h^2), so grids
 are evaluated in bounded tiles from per-axis factors: a tile of
@@ -122,8 +123,11 @@ class DensityModel:
     Notes
     -----
     The model keeps a private read-only copy of the sample and never changes
-    after construction, so evaluations are safe to call concurrently.  Sums
-    over the sample have the same bits at any BLAS thread count (sample_sum).
+    after construction, so evaluations are safe to call concurrently.
+    ``points``, as given, serves the direct differences (grid factors, Hessian
+    terms); its transpose centered on the sample mean c serves the exponent
+    and every sum over the sample, so sums and gradients are taken about c.
+    Those sums have the same bits at any BLAS thread count (sample_sum).
     For density, gradient and mean shift the kernel exponent's contraction
     over the d coordinates is a BLAS product: a query row's last bits can
     depend on the rows evaluated with it and, for some block shapes, on the
@@ -144,11 +148,9 @@ class DensityModel:
         self.h = h
         # (2*pi)**(-d/2) / (n * h**d): the shared normalizing constant.
         self._norm = (2.0 * np.pi) ** (-0.5 * self.d) / (self.n * h**self.d)
-        # (d, n) contiguous copy: the second operand of every sample_sum.
-        self._points_t = np.ascontiguousarray(pts.T)
-        # The kernel exponent is expanded about the sample mean, so its
-        # cancellation error does not grow with the data's distance from the
-        # origin: (X - c)^T and ||X_i - c||^2 / (2 h^2), its query-independent term.
+        # Exponent and sums are taken about the sample mean c, so cancellation
+        # error does not grow with the data's distance from the origin: (X - c)^T,
+        # contiguous along n, and ||X_i - c||^2 / (2 h^2), the exponent's query-free term.
         self._center = np.mean(pts, axis=0)
         centered = pts - self._center
         self._centered_t = np.ascontiguousarray(centered.T)
@@ -169,14 +171,9 @@ class DensityModel:
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
         return np.exp(w, out=w)
 
-    def _blocks(self, q: np.ndarray):
-        """(rows, _exp_weights(q[rows])) over row blocks within the kernel budget."""
-        for rows in _row_blocks(q.shape[0], self.n):
-            yield rows, self._exp_weights(q[rows])
-
     def _axis_factor(self, j: int, a: np.ndarray) -> np.ndarray:
         """exp(-((a_r - X_ij) / h)^2 / 2) as a (len(a), n) matrix, from direct differences."""
-        f = a[:, None] - self._points_t[j]
+        f = a[:, None] - self.points[:, j]
         f /= self.h
         f *= f
         f *= -0.5
@@ -206,32 +203,37 @@ class DensityModel:
                 for box in itertools.product(*spans))
 
     def _weighted_sums(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_i w_ji, sum_i w_ji X_i) for each query row q_j, as (m,) and (m, d)."""
+        """(sum_i w_ji, sum_i w_ji (X_i - c)) per query row q_j, as (m,) and (m, d), in blocks."""
         wsum = np.empty(q.shape[0])
-        wx = np.empty((q.shape[0], self.d))
-        for rows, w in self._blocks(q):
+        wxc = np.empty((q.shape[0], self.d))
+        for rows in _row_blocks(q.shape[0], self.n):
+            w = self._exp_weights(q[rows])
             wsum[rows] = np.sum(w, axis=1)
-            wx[rows] = sample_sum(w, self._points_t)
-            del w  # free this block before the generator builds the next
-        return wsum, wx
+            wxc[rows] = sample_sum(w, self._centered_t)
+            del w  # free this block before the next is built
+        return wsum, wxc
+
+    def _mean_shift(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Density and mean-shift target c + sum_i w_i (X_i - c) / sum_i w_i at each
+        query row, as (m,) and (m, d); the target is NaN where sum_i w_i = 0."""
+        wsum, wxc = self._weighted_sums(q)
+        with np.errstate(invalid="ignore"):  # 0 / 0 in rows with no weight at all
+            return self._norm * wsum, self._center + wxc / wsum[:, None]
 
     # -- evaluations --
 
     def density(self, x):
         """Density at x: scalar for a (d,) query, (m,) array for (m, d)."""
         q, single = _as_query(x, self.d)
-        vals = np.empty(q.shape[0])
-        for rows, w in self._blocks(q):
-            vals[rows] = self._norm * np.sum(w, axis=1)
-            del w  # free this block before the generator builds the next
+        vals = self._norm * self._weighted_sums(q)[0]
         return float(vals[0]) if single else vals
 
     def gradient(self, x):
         """Gradient of the density at x: (d,) for a single query, else (m, d)."""
         q, single = _as_query(x, self.d)
-        wsum, wx = self._weighted_sums(q)
-        # grad p(x) = -norm/h^2 * sum_i w_i * (x - X_i) = -norm/h^2 * (x * sum_i w_i - w @ X)
-        g = -(self._norm / self.h**2) * (q * wsum[:, None] - wx)
+        wsum, wxc = self._weighted_sums(q)
+        # grad p(x) = -norm/h^2 * sum_i w_i (x - X_i), with x - X_i = (x - c) - (X_i - c)
+        g = -(self._norm / self.h**2) * ((q - self._center) * wsum[:, None] - wxc)
         return g[0] if single else g
 
     def _grid_density(self, axes) -> np.ndarray:
@@ -276,8 +278,8 @@ class DensityModel:
         # Hessians from its weights were off by up to 4.8e-14 (d = 2) and
         # 1.5e-13 (d = 10) of the largest entry, and this form's by 3.6e-16
         # and 1e-15.
-        # The strided points.T (not the contiguous _points_t) fixes the
-        # summation order of ||u_i||^2, on which reported bits depend.
+        # u from points as given (a strided transpose, not a contiguous copy)
+        # fixes the summation order of ||u_i||^2, on which reported bits depend.
         u = (at[:, None] - self.points.T) / self.h  # (d, n)
         e = np.exp(-0.5 * np.sum(u**2, axis=0))
         rows, cols = np.tril_indices(self.d)

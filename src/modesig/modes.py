@@ -118,17 +118,14 @@ def find_modes(
     for it in range(max_iter + 1):
         if active.size == 0:
             break
-        wsum, wx = model._weighted_sums(current[active])
-        shifted = wx / np.maximum(wsum, 1e-300)[:, None]
-
-        new_density = model._norm * wsum
+        new_density, shifted = model._mean_shift(current[active])
         if it:  # every row still active was also evaluated at the previous sweep
             min_ascent_delta = min(min_ascent_delta, float(np.min(new_density - density[active])))
         density[active] = new_density
 
-        dead = wsum <= 0.0  # absurdly far starts: no neighborhood at all
         step = np.linalg.norm(shifted - current[active], axis=1)
-        done = (step < step_tol) & ~dead
+        dead = np.isnan(step)  # absurdly far starts: no neighborhood, no target
+        done = step < step_tol
         # the final sweep only measures convergence and takes no step
         finish = done | dead if it < max_iter else np.ones(active.size, dtype=bool)
         fin_rows = active[finish]

@@ -222,6 +222,42 @@ def test_hessian_accurate_far_from_origin(d):
     assert err <= 1e-13
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("d", [2, 10])
+def test_gradient_accurate_far_from_origin(d):
+    # two clusters 3 h apart, then data and queries shifted 1e6 h from the
+    # origin: sums of w_i X_i taken about the origin cancel terms of size
+    # 1e6 h in x sum_i w_i - sum_i w_i X_i and lose up to about 1e-9 of relative accuracy
+    rng = np.random.default_rng(d)
+    h = 0.5
+    pts = h * rng.normal(size=(200, d))
+    pts[100:, 0] += 3.0 * h
+    queries = pts[::10] + 0.3 * h * rng.normal(size=(20, d))
+    shift = np.full(d, 1e6 * h / np.sqrt(d))
+    pts, queries = pts + shift, queries + shift
+    L = np.longdouble
+    u = (queries.astype(L)[:, None, :] - pts.astype(L)) / L(h)  # (m, n, d)
+    e = np.exp(-L(0.5) * np.sum(u * u, axis=2))
+    ref = -np.einsum("mn,mnd->md", e, u) / L(h)
+    ref *= (2 * L(np.pi)) ** (-L(d) / 2) / (pts.shape[0] * L(h) ** d)
+    err = np.max(np.abs(DensityModel(pts, h).gradient(queries) - ref)) / np.max(np.abs(ref))
+    assert err <= 1e-13
+
+
+def test_model_retains_two_copies_of_the_sample():
+    # points as given, and its centered transpose; no third copy
+    X = np.random.default_rng(14).normal(size=(5000, 10))
+    tracemalloc.start()
+    try:
+        model = DensityModel(X, 0.5)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2.5 * X.nbytes, \
+        f"a {model.n} x {model.d} model retains {retained / X.nbytes:.2f}x the sample's bytes"
+
+
 def test_hessian_sampling_sd_shrinks_at_root_n_rate():
     # With h fixed, the sd of the Hessian estimate at a point scales like
     # n**-0.5: quadrupling sd ratio when n grows 16-fold.
