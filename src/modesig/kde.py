@@ -7,9 +7,10 @@ bandwidth ``h`` (isotropic Gaussian kernel, covariance ``h**2 * I``):
 
 Because the kernel is Gaussian, gradient and Hessian are available in
 closed form from the exponential weights.  The sample is kept as given for
-direct differences (grid factors, Hessian terms) and centered on its mean c for
-the exponent and every sum, which density, gradient and mean shift take in one
-blocked pass about c, so they stay accurate far from the origin.
+direct differences (grid factors, Hessian terms) and as one (d + 2, n) operand,
+rows (X - c)^T, 1 and ||X - c||^2 / 2h^2 about its mean c: density, gradient
+and mean shift take a block's exponent as one product with it and its sums as
+one contraction, all about c, so they stay accurate far from the origin.
 On an axis-aligned product grid the kernel factors over the axes,
 exp(-||g - X_i||^2 / 2h^2) = prod_j exp(-(g_j - X_ij)^2 / 2h^2), so grids
 are evaluated in bounded tiles from per-axis factors: a tile of
@@ -98,11 +99,12 @@ def _tile_weights(factors: list) -> np.ndarray:
 def sample_sum(w: np.ndarray, xt: np.ndarray) -> np.ndarray:
     """sum_i w[j, i] * xt[k, i] as an (m, k) matrix, for w (m, n) and xt (k, n).
 
-    Every reduction over the n sample points goes through here.  np.einsum
-    without ``optimize`` runs numpy's own single-threaded loops and never
-    calls BLAS, whose multi-threaded GEMM splits such sums in an order that
-    depends on the thread count; so the result has the same bits at any
-    BLAS thread count.  Both operands should be C-contiguous along n.
+    Every reduction over the n sample points but the mean c and the band's
+    exact product (persist._exact_deviations) goes through here.  np.einsum
+    without ``optimize`` runs numpy's own single-threaded loops and never calls
+    BLAS, whose multi-threaded GEMM splits such sums in an order that depends
+    on the thread count; so the result has the same bits at any BLAS thread
+    count.  Both operands should be C-contiguous along n.
     """
     return np.einsum("mn,kn->mk", w, xt)
 
@@ -125,11 +127,12 @@ class DensityModel:
     The model keeps a private read-only copy of the sample and never changes
     after construction, so evaluations are safe to call concurrently.
     ``points``, as given, serves the direct differences (grid factors, Hessian
-    terms); its transpose centered on the sample mean c serves the exponent
-    and every sum over the sample, so sums and gradients are taken about c.
-    Those sums have the same bits at any BLAS thread count (sample_sum).
+    terms); the C-ordered (d + 2, n) operand _aug, rows (X - c)^T, 1 and
+    ||X - c||^2 / 2h^2 about the sample mean c, serves the exponent and every
+    sum over the sample, so sums and gradients are taken about c, with the
+    same bits at any BLAS thread count (sample_sum).
     For density, gradient and mean shift the kernel exponent's contraction
-    over the d coordinates is a BLAS product: a query row's last bits can
+    over the d + 2 rows of _aug is a BLAS product: a query row's last bits can
     depend on the rows evaluated with it and, for some block shapes, on the
     thread count.  Grid evaluations take no such product: their weights come
     from per-axis factors of direct differences (_grid_tiles).
@@ -148,26 +151,24 @@ class DensityModel:
         self.h = h
         # (2*pi)**(-d/2) / (n * h**d): the shared normalizing constant.
         self._norm = (2.0 * np.pi) ** (-0.5 * self.d) / (self.n * h**self.d)
-        # Exponent and sums are taken about the sample mean c, so cancellation
-        # error does not grow with the data's distance from the origin: (X - c)^T,
-        # contiguous along n, and ||X_i - c||^2 / (2 h^2), the exponent's query-free term.
+        # Exponent and sums are taken about the sample mean c, so cancellation error does not grow
+        # with the data's distance from the origin; vstack gives F order, sample_sum wants C order.
         self._center = np.mean(pts, axis=0)
         centered = pts - self._center
-        self._centered_t = np.ascontiguousarray(centered.T)
-        self._half_sq = np.sum(centered**2, axis=1) / (2.0 * h**2)
+        self._aug = np.ascontiguousarray(np.vstack(
+            [centered.T, np.ones(self.n), np.sum(centered**2, axis=1) / (2.0 * h**2)]))
 
     # -- kernel weights shared by every evaluation --
 
     def _exp_weights(self, q: np.ndarray) -> np.ndarray:
         """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, n) matrix."""
         # Exponent via the expansion (q.x - ||q||^2/2 - ||x||^2/2) / h^2 of the
-        # centered q = q_j - c and x = X_i - c, built, clipped and exponentiated
-        # in one buffer.  The matmul contracts over the d coordinates only;
-        # reductions over the sample go through sample_sum, never BLAS.
+        # centered q = q_j - c and x = X_i - c, as one product with _aug whose last two
+        # terms, -||q||^2/2h^2 times 1 and -1 times ||x||^2/2h^2, are exact, like subtractions.
+        # The matmul contracts over the d + 2 rows only; sums go through sample_sum.
         q = q - self._center
-        w = (q / self.h**2) @ self._centered_t
-        w -= (np.sum(q**2, axis=1) / (2.0 * self.h**2))[:, None]
-        w -= self._half_sq[None, :]
+        half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
+        w = np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]) @ self._aug
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
         return np.exp(w, out=w)
 
@@ -202,38 +203,36 @@ class DensityModel:
         return ((box, [self._axis_factor(j, a[s]) for j, (a, s) in enumerate(zip(axes, box))])
                 for box in itertools.product(*spans))
 
-    def _weighted_sums(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sum_i w_ji, sum_i w_ji (X_i - c)) per query row q_j, as (m,) and (m, d), in blocks."""
-        wsum = np.empty(q.shape[0])
-        wxc = np.empty((q.shape[0], self.d))
+    def _weighted_sums(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
+        """sum_i w_ji xt[k, i] per query row q_j, as (m, k), in blocks; xt is rows of _aug."""
+        sums = np.empty((q.shape[0], xt.shape[0]))
         for rows in _row_blocks(q.shape[0], self.n):
             w = self._exp_weights(q[rows])
-            wsum[rows] = np.sum(w, axis=1)
-            wxc[rows] = sample_sum(w, self._centered_t)
+            sums[rows] = sample_sum(w, xt)
             del w  # free this block before the next is built
-        return wsum, wxc
+        return sums
 
     def _mean_shift(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Density and mean-shift target c + sum_i w_i (X_i - c) / sum_i w_i at each
         query row, as (m,) and (m, d); the target is NaN where sum_i w_i = 0."""
-        wsum, wxc = self._weighted_sums(q)
+        s = self._weighted_sums(q, self._aug[:self.d + 1])
         with np.errstate(invalid="ignore"):  # 0 / 0 in rows with no weight at all
-            return self._norm * wsum, self._center + wxc / wsum[:, None]
+            return self._norm * s[:, self.d], self._center + s[:, :self.d] / s[:, self.d:]
 
     # -- evaluations --
 
     def density(self, x):
         """Density at x: scalar for a (d,) query, (m,) array for (m, d)."""
         q, single = _as_query(x, self.d)
-        vals = self._norm * self._weighted_sums(q)[0]
+        vals = self._norm * self._weighted_sums(q, self._aug[self.d:self.d + 1])[:, 0]
         return float(vals[0]) if single else vals
 
     def gradient(self, x):
         """Gradient of the density at x: (d,) for a single query, else (m, d)."""
         q, single = _as_query(x, self.d)
-        wsum, wxc = self._weighted_sums(q)
+        s = self._weighted_sums(q, self._aug[:self.d + 1])
         # grad p(x) = -norm/h^2 * sum_i w_i (x - X_i), with x - X_i = (x - c) - (X_i - c)
-        g = -(self._norm / self.h**2) * ((q - self._center) * wsum[:, None] - wxc)
+        g = -(self._norm / self.h**2) * ((q - self._center) * s[:, self.d:] - s[:, :self.d])
         return g[0] if single else g
 
     def _grid_density(self, axes) -> np.ndarray:

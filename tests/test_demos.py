@@ -1,7 +1,8 @@
 """The demos reproduce their committed outputs byte for byte.
 
 Each demo writes to `<script dir>/out/<name>`, so it runs from a copy in a
-temporary directory, in a fresh interpreter with one BLAS thread.
+temporary directory, in a fresh interpreter, once with one BLAS thread and
+once with two: README says the outputs reproduce at both.
 """
 
 import os
@@ -23,14 +24,17 @@ DEMOS = ROOT / "demos"
     ("ten_dimensional_eigenportraits.py", "ten_dim"),
 ])
 def test_demo_reproduces_committed_output(tmp_path, script, name):
-    shutil.copy(DEMOS / script, tmp_path / script)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, script], cwd=tmp_path, env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
     expected = sorted(p.name for p in (DEMOS / "out" / name).iterdir())
-    got = sorted(p.name for p in (tmp_path / "out" / name).iterdir())
-    assert got == expected
-    for fname in expected:
-        assert (tmp_path / "out" / name / fname).read_bytes() == \
-            (DEMOS / "out" / name / fname).read_bytes(), fname
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        shutil.copy(DEMOS / script, work / script)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run([sys.executable, script], cwd=work, env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        got = sorted(p.name for p in (work / "out" / name).iterdir())
+        assert got == expected, threads
+        for fname in expected:
+            assert (work / "out" / name / fname).read_bytes() == \
+                (DEMOS / "out" / name / fname).read_bytes(), (threads, fname)

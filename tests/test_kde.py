@@ -192,6 +192,7 @@ class TestModelBasics:
         a = rng.normal(size=(300, 10))
         q = rng.normal(scale=0.5, size=(6, 10))
         c, f = DensityModel(a, 1.3), DensityModel(np.asfortranarray(a), 1.3)
+        assert c._aug.flags.c_contiguous and f._aug.flags.c_contiguous
         assert f.density(q).tobytes() == c.density(q).tobytes()
         assert f.gradient(q).tobytes() == c.gradient(q).tobytes()
         assert f.hessian(q[0]).tobytes() == c.hessian(q[0]).tobytes()
@@ -246,7 +247,7 @@ def test_gradient_accurate_far_from_origin(d):
 
 
 def test_model_retains_two_copies_of_the_sample():
-    # points as given, and its centered transpose; no third copy
+    # points as given, and the (d + 2, n) operand about the mean; no third copy
     X = np.random.default_rng(14).normal(size=(5000, 10))
     tracemalloc.start()
     try:
@@ -307,6 +308,22 @@ class TestBlocking:
             assert m.pairs == 0
             ref = grid_density(m.points, 1.0, axes)
             assert np.max(np.abs(f.values - ref)) <= 2e-15 * np.max(ref), shape
+
+    def test_sums_contract_only_the_rows_they_read(self, monkeypatch):
+        # density reads sum_i w alone; gradient also reads sum_i w (X_i - c)
+        rows, sample_sum = [], kde.sample_sum
+        monkeypatch.setattr(kde, "sample_sum", lambda w, xt: rows.append(len(xt)) or sample_sum(w, xt))
+        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 4 * 30)  # 3 blocks of 9 queries
+        rng = np.random.default_rng(17)
+        for d in (2, 3, 10):
+            m = DensityModel(rng.normal(size=(30, d)), 1.0)
+            q = rng.normal(size=(9, d))
+            rows.clear()
+            m.density(q)
+            assert rows == [1, 1, 1], d
+            rows.clear()
+            m.gradient(q)
+            assert rows == [d + 1] * 3, d
 
     def test_memory_bounded_by_block_budget(self):
         rng = np.random.default_rng(13)

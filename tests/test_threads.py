@@ -29,11 +29,11 @@ def digest(a):
 
 rng = np.random.default_rng(0)
 out = {}
-# w @ (X - c): mean-shift step and stage-2 gradient
+# w @ [X - c, 1]: mean-shift step and stage-2 gradient
 for m, n, d in [(700, 1000, 2), (2048, 5000, 10), (_BLOCK_ENTRIES // 5000, 5000, 10)]:
     model = DensityModel(rng.standard_normal((n, d)), 1.0)
     w = model._exp_weights(rng.standard_normal((m, d)))
-    out[f"weights_x_points_{m}x{n}x{d}"] = digest(sample_sum(w, model._centered_t))
+    out[f"weights_x_points_{m}x{n}x{d}"] = digest(sample_sum(w, model._aug[:d + 1]))
 # counts @ terms: bootstrap Hessians at a fixed point
 for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1)]:
     terms = DensityModel(rng.standard_normal((n, d)), 1.0)._hessian_terms(np.zeros(d))
