@@ -7,18 +7,20 @@ undersmoothing produces candidates too noisy to certify, so N(h) is small
 at both extremes; its peak marks bandwidths that are both rich and
 defensible.
 
-The data split is performed once and reused for every h, so the N(h)
-curve varies only through the bandwidth.
+The data split and the bootstrap counts are drawn once and shared by every
+h, so the N(h) curve varies only through the bandwidth.  The counts depend
+only on (len(Y), B, boot_seed); they are drawn after stage 1 has run at
+every h, and each h then runs stage 2 with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kde import as_points
-from .modetest import ModeTestConfig, ModeTestReport, mode_test_on_split, split
+from .modetest import ModeTestConfig, _mode_tests, split
 
 __all__ = ["BandwidthScan", "default_grid", "select_bandwidth", "scan"]
 
@@ -64,6 +66,10 @@ def select_bandwidth(grid: np.ndarray, significant_counts: np.ndarray) -> tuple[
 def scan(data, grid=None, cfg: ModeTestConfig | None = None) -> BandwidthScan:
     """Run the mode test across a bandwidth grid on one shared split.
 
+    The split and the (B, len(Y)) bootstrap counts are drawn once and
+    shared by every h, so each report equals
+    ``mode_test_on_split(X, Y, replace(cfg, h=h))`` on the same split.
+
     Parameters
     ----------
     data : array-like, shape (n, d)
@@ -79,9 +85,7 @@ def scan(data, grid=None, cfg: ModeTestConfig | None = None) -> BandwidthScan:
     cfg = cfg or ModeTestConfig(h=float(grid[0]))
 
     X, Y = split(pts, cfg.split_seed)
-    reports: list[ModeTestReport] = []
-    for h in grid:
-        reports.append(mode_test_on_split(X, Y, replace(cfg, h=float(h))))
+    reports = _mode_tests(X, Y, cfg, grid)
 
     k_counts = np.array([r.k for r in reports], dtype=np.int64)
     n_counts = np.array([r.significant_count for r in reports], dtype=np.int64)

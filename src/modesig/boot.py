@@ -138,7 +138,12 @@ def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[Boot
     for i, at in enumerate(points):
         if at.shape != (model.d,) or not np.all(np.isfinite(at)):
             raise ValueError(f"point {i} must be {model.d} finite coordinates, got {at}")
-    counts = _resample_counts(model.n, B, seed)
+    return _boot(model, points, _resample_counts(model.n, B, seed))
+
+
+def _boot(model: DensityModel, points, counts: np.ndarray) -> list[BootstrapDraws]:
+    """Bootstrap draws of the model's Hessian at each point, one replicate per row of
+    the (B, n) multiplicity matrix counts (_resample_counts)."""
     ones = np.ones((1, model.n))
     out = []
     for at in points:

@@ -11,6 +11,13 @@ direct differences (grid factors, Hessian terms) and as one (d + 2, n) operand,
 rows (X - c)^T, 1 and ||X - c||^2 / 2h^2 about its mean c: density, gradient
 and mean shift take a block's exponent as one product with it and its sums as
 one contraction, all about c, so they stay accurate far from the origin.
+Kernel weights below the smallest normal float, exponents under
+log(tiny) ~ -708.4 (queries about 37.6 h from a sample point), are flushed
+to exact 0 rather than computed on np.exp's slow subnormal path.  A block
+takes that flush only when the triangle inequality,
+||q - X_i|| <= ||q - c|| + max_i ||X_i - c||, leaves room for such an
+exponent, with a margin that covers its rounding; all other weights keep
+their bits.
 On an axis-aligned product grid the kernel factors over the axes,
 exp(-||g - X_i||^2 / 2h^2) = prod_j exp(-(g_j - X_ij)^2 / 2h^2), so grids
 are evaluated in bounded tiles from per-axis factors: a tile of
@@ -28,6 +35,12 @@ import numpy as np
 __all__ = ["DensityModel", "as_points"]
 
 _BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
+# np.exp of an exponent below _LOG_TINY is subnormal or 0, and its subnormal path
+# costs tens of times its normal one per element.  An exponent can fall that low only
+# where ||q - c|| + max ||X - c|| reaches _FLUSH_REACH * sqrt(2) h; the 1e-6 margin
+# covers the exponent's rounding error, about (d + 6) eps relative, for any d below 1e9.
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))  # about -708.40
+_FLUSH_REACH = float(np.sqrt(-_LOG_TINY)) * (1.0 - 1e-6)  # about 26.6, in units of sqrt(2) h
 
 
 # --- input validation -------------------------------------------------------
@@ -157,6 +170,7 @@ class DensityModel:
         centered = pts - self._center
         self._aug = np.ascontiguousarray(np.vstack(
             [centered.T, np.ones(self.n), np.sum(centered**2, axis=1) / (2.0 * h**2)]))
+        self._reach = float(np.sqrt(np.max(self._aug[-1])))  # max ||X - c|| / (sqrt(2) h)
 
     # -- kernel weights shared by every evaluation --
 
@@ -170,6 +184,12 @@ class DensityModel:
         half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
         w = np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]) @ self._aug
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
+        # By the triangle inequality -exponent <= (sqrt(half_sq) + _reach)^2, so only a
+        # block with a row past _FLUSH_REACH can hold an exponent below _LOG_TINY.  Its
+        # sub-tiny weights are flushed to exact 0 (exp(-inf)) instead of taking np.exp's
+        # subnormal path; every other weight keeps its bits.
+        if np.sqrt(np.max(half_sq, initial=0.0)) + self._reach > _FLUSH_REACH:
+            np.copyto(w, -np.inf, where=w < _LOG_TINY)
         return np.exp(w, out=w)
 
     def _axis_factor(self, j: int, a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .boot import EigenPortrait, bootstrap_hessian_batch, esp_quantile, eigen_rectangles
+from . import boot
+from .boot import EigenPortrait, esp_quantile, eigen_rectangles
 from .kde import DensityModel, as_points
 from .modes import ClusterAssignment, MeanShiftOptions, ModeCandidate, find_modes
 
@@ -82,24 +83,38 @@ def mode_test_on_split(X, Y, cfg: ModeTestConfig) -> ModeTestReport:
     Y = as_points(Y)
     if X.shape[1] != Y.shape[1]:
         raise ValueError("halves disagree on dimension")
+    return _mode_tests(X, Y, cfg, [cfg.h])[0]
 
-    candidates, assignment = find_modes(DensityModel(X, cfg.h), mesh=None, opts=cfg.mean_shift)
-    k = len(candidates)
-    locations = np.array([c.location for c in candidates]).reshape(k, X.shape[1])
-    grad_norms = np.linalg.norm(DensityModel(Y, cfg.h).gradient(locations), axis=1)
-    draws = bootstrap_hessian_batch(Y, cfg.h, locations, cfg.B, cfg.boot_seed)
-    portraits = tuple(
-        replace(eigen_rectangles(draw, esp_quantile(draw, cfg.alpha / k)), mode=cand)
-        for cand, draw in zip(candidates, draws)
-    )
-    return ModeTestReport(
-        candidates=tuple(candidates),
-        portraits=portraits,
-        k=k,
-        significant_count=sum(p.significant for p in portraits),
-        stage2_gradient_norms=grad_norms,
-        assignment=assignment,
-    )
+
+def _mode_tests(X: np.ndarray, Y: np.ndarray, cfg: ModeTestConfig, hs) -> list[ModeTestReport]:
+    """Both stages at each bandwidth in hs (cfg.h aside) on the point matrices X and Y.
+
+    Stage 1 runs at every h before the bootstrap counts are drawn, so no
+    (B, len(Y)) count matrix is alive during it; that one draw, a function
+    of (len(Y), B, boot_seed) alone, then serves stage 2 at every h, where
+    one model of Y gives the gradient norms and the Hessian draws.
+    """
+    found = [find_modes(DensityModel(X, h), mesh=None, opts=cfg.mean_shift) for h in hs]
+    counts = boot._resample_counts(Y.shape[0], cfg.B, cfg.boot_seed)
+    reports = []
+    for h, (candidates, assignment) in zip(hs, found):
+        model = DensityModel(Y, h)
+        k = len(candidates)
+        locations = np.array([c.location for c in candidates]).reshape(k, model.d)
+        grad_norms = np.linalg.norm(model.gradient(locations), axis=1)
+        portraits = tuple(
+            replace(eigen_rectangles(draw, esp_quantile(draw, cfg.alpha / k)), mode=cand)
+            for cand, draw in zip(candidates, boot._boot(model, locations, counts))
+        )
+        reports.append(ModeTestReport(
+            candidates=tuple(candidates),
+            portraits=portraits,
+            k=k,
+            significant_count=sum(p.significant for p in portraits),
+            stage2_gradient_norms=grad_norms,
+            assignment=assignment,
+        ))
+    return reports
 
 
 def run_mode_test(data, cfg: ModeTestConfig) -> ModeTestReport:

@@ -1,5 +1,7 @@
 """Bandwidth scans: grid construction, the argmax rule, scan invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,11 +9,14 @@ from numpy.testing import assert_allclose
 from modesig import (
     GeneratorSpec,
     ModeTestConfig,
+    boot,
     default_grid,
     generate,
+    mode_test_on_split,
     run_mode_test,
     scan,
     select_bandwidth,
+    split,
 )
 
 
@@ -99,6 +104,29 @@ class TestScan:
         for ra, rb in zip(a.reports, b.reports):
             for pa, pb in zip(ra.portraits, rb.portraits):
                 assert np.array_equal(pa.rectangles, pb.rectangles)
+
+    def test_counts_drawn_once_and_shared_by_every_h(self, monkeypatch):
+        draws, resample = [], boot._resample_counts
+        monkeypatch.setattr(boot, "_resample_counts", lambda *a: draws.append(a) or resample(*a))
+        data = bimodal(200, seed=7)
+        cfg = ModeTestConfig(h=1.0, B=80, split_seed=3, boot_seed=4)
+        grid = np.array([0.3, 0.6, 1.0, 1.6])
+        res = scan(data, grid=grid, cfg=cfg)
+        assert len(draws) == 1
+        # each report is the single-bandwidth test on the same split, bit for bit
+        X, Y = split(data, cfg.split_seed)
+        for h, rep in zip(grid, res.reports):
+            ref = mode_test_on_split(X, Y, replace(cfg, h=h))
+            assert rep.k == ref.k
+            for a, b in zip(rep.candidates, ref.candidates):
+                assert a.location.tobytes() == b.location.tobytes()
+                assert (a.density_value, a.basin_size, a.iterations) == \
+                    (b.density_value, b.basin_size, b.iterations)
+            for a, b in zip(rep.portraits, ref.portraits):
+                assert a.rectangles.tobytes() == b.rectangles.tobytes()
+                assert a.c_interval.tobytes() == b.c_interval.tobytes()
+                assert a.significant == b.significant
+            assert rep.stage2_gradient_norms.tobytes() == ref.stage2_gradient_norms.tobytes()
 
     def test_invalid_grid(self):
         data = bimodal(100, seed=6)

@@ -246,6 +246,41 @@ def test_gradient_accurate_far_from_origin(d):
     assert err <= 1e-13
 
 
+def test_sub_tiny_weights_flush_to_exact_zero():
+    # Lattice sample and queries with h = 1/2: every exponent -2 ||q - X_i||^2
+    # is a multiple of 1/32, so the kernel's expansion about the (zero) mean
+    # gives it exactly.  The queries run 30 h to 50 h out along the first
+    # axis, across 37.6 h, where the exponent crosses log(tiny): some weights
+    # sit above it, some between it and exp's underflow to 0, some below both.
+    tiny = np.finfo(np.float64).tiny
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [0.0, 0.0]])
+    m = DensityModel(pts, 0.5)
+    q = np.column_stack([np.arange(15.0, 25.0, 0.125), np.full(80, 0.5)])
+    exponent = -2.0 * np.sum((q[:, None, :] - pts) ** 2, axis=2)
+    sub = exponent < np.log(tiny)
+    assert np.any(~sub) and np.any(sub & (exponent > -745.0)) and np.any(exponent < -746.0)
+    # the whole block needs the flush; its first 16 rows (under 34 h out) do not
+    for rows in (slice(None), slice(0, 16)):
+        w = m._exp_weights(q[rows])
+        assert np.all(w[sub[rows]] == 0.0)
+        assert np.array_equal(w[~sub[rows]], np.exp(np.minimum(exponent[rows][~sub[rows]], 0.0)))
+        assert not np.any((w > 0.0) & (w < tiny))
+    # Random 3-d data: queries 30 h to 50 h from the sample mean never get a
+    # subnormal weight, and a weight is 0 exactly where the exponent lies below log(tiny).
+    rng = np.random.default_rng(31)
+    pts = rng.normal(size=(200, 3))
+    m = DensityModel(pts, 0.3)
+    u = rng.normal(size=(400, 3))
+    q = pts.mean(axis=0) + u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(9.0, 15.0, (400, 1))
+    exponent = -np.sum((q[:, None, :] - pts) ** 2, axis=2) / (2.0 * 0.3**2)
+    w = m._exp_weights(q)
+    assert not np.any((w > 0.0) & (w < tiny))
+    margin = 1e-9 * abs(np.log(tiny))  # the expansion and direct differences differ in low bits
+    assert np.all(w[exponent < np.log(tiny) - margin] == 0.0)
+    assert np.all(w[exponent > np.log(tiny) + margin] >= tiny)
+    assert np.any(exponent < np.log(tiny)) and np.any(exponent > np.log(tiny))
+
+
 def test_model_retains_two_copies_of_the_sample():
     # points as given, and the (d + 2, n) operand about the mean; no third copy
     X = np.random.default_rng(14).normal(size=(5000, 10))

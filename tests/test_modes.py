@@ -148,6 +148,22 @@ class TestFindModes:
         assert np.isnan(diag["grad_tol"])
         assert np.isfinite(diag["min_ascent_delta"])
 
+    def test_far_starts_stay_unconverged_at_zero_density(self):
+        # every kernel weight of a start 45 h or 1e6 h from every point is
+        # exactly 0, so its mean-shift target is undefined: the trajectory
+        # stops where it started, unconverged, and joins no basin
+        rng = np.random.default_rng(29)
+        data = rng.normal(size=(60, 2))
+        m = DensityModel(data, 0.5)
+        far = np.array([[data[:, 0].max() + 45.0 * m.h, 0.0], [data[:, 0].max() + 1e6 * m.h, 0.0]])
+        density, target = m._mean_shift(far)
+        assert np.array_equal(density, [0.0, 0.0]) and np.all(np.isnan(target))
+        assert np.array_equal(m.density(far), [0.0, 0.0])
+        cands, asg = find_modes(m, mesh=np.vstack([data, far]))
+        assert not np.any(asg.converged[-2:])
+        assert asg.diagnostics["n_unconverged"] == 2
+        assert sum(c.basin_size for c in cands) == data.shape[0]
+
     def test_translation_does_not_move_modes(self):
         # the kernel exponent is expanded about the sample mean, so data far
         # from the origin lose no accuracy to cancellation
