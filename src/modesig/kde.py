@@ -35,12 +35,10 @@ import numpy as np
 __all__ = ["DensityModel", "as_points"]
 
 _BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
-# np.exp of an exponent below _LOG_TINY is subnormal or 0, and its subnormal path
-# costs tens of times its normal one per element.  An exponent can fall that low only
-# where ||q - c|| + max ||X - c|| reaches _FLUSH_REACH * sqrt(2) h; the 1e-6 margin
-# covers the exponent's rounding error, about (d + 6) eps relative, for any d below 1e9.
-_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))  # about -708.40
-_FLUSH_REACH = float(np.sqrt(-_LOG_TINY)) * (1.0 - 1e-6)  # about 26.6, in units of sqrt(2) h
+_LOG_TINY = float(np.log(np.finfo(np.float64).tiny))  # about -708.40; exp below it is subnormal
+# sqrt(-_LOG_TINY), about 26.6, less a 1e-6 margin that covers the exponent's rounding
+# error, about (d + 6) eps relative, for any d below 1e9 (_exp_weights)
+_FLUSH_REACH = float(np.sqrt(-_LOG_TINY)) * (1.0 - 1e-6)
 
 
 # --- input validation -------------------------------------------------------
