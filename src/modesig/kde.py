@@ -13,8 +13,9 @@ and mean shift take a block's exponent as one product with it and its sums as
 one contraction, all about c, so they stay accurate far from the origin.
 Kernel weights below the smallest normal float, exponents under
 log(tiny) ~ -708.4 (queries about 37.6 h from a sample point), are flushed
-to exact 0 rather than computed on np.exp's slow subnormal path.  A block
-takes that flush only when the triangle inequality,
+to exact 0 rather than computed on np.exp's slow subnormal path, in query
+blocks and in the Hessian terms at a point alike.  A block or point takes
+that flush only when the triangle inequality,
 ||q - X_i|| <= ||q - c|| + max_i ||X_i - c||, leaves room for such an
 exponent, with a margin that covers its rounding; all other weights keep
 their bits.
@@ -37,7 +38,7 @@ __all__ = ["DensityModel", "as_points"]
 _BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))  # about -708.40; exp below it is subnormal
 # sqrt(-_LOG_TINY), about 26.6, less a 1e-6 margin that covers the exponent's rounding
-# error, about (d + 6) eps relative, for any d below 1e9 (_exp_weights)
+# error, about (d + 6) eps relative, for any d below 1e9 (_exp_flushed)
 _FLUSH_REACH = float(np.sqrt(-_LOG_TINY)) * (1.0 - 1e-6)
 
 
@@ -93,15 +94,19 @@ def _row_blocks(m: int, width: int):
     return (slice(lo, lo + step) for lo in range(0, m, step))
 
 
-def _tile_weights(factors: list) -> np.ndarray:
-    """A tile's kernel weights, (t_1 * ... * t_d, n) with rows in C order over the tile.
+def _tile_weights(factors: list, out: np.ndarray | None = None) -> np.ndarray:
+    """A tile's kernel weights, (t_1 * ... * t_d, k) with rows in C order over the tile.
 
-    They are the broadcast product of the tile's per-axis factors (t_j, n),
-    taken in axis order.
+    They are the broadcast product of the tile's per-axis factors (t_j, k),
+    taken in axis order.  Given `out`, a flat buffer of at least
+    t_1 * ... * t_d * k entries, the last product is written into its head;
+    a single factor is returned as it is.
     """
     w = factors[0]
-    for f in factors[1:]:
-        w = (w[:, None, :] * f).reshape(-1, f.shape[1])
+    for i, f in enumerate(factors[1:], start=2):
+        shape = (w.shape[0], *f.shape)
+        dst = None if out is None or i < len(factors) else out[:w.shape[0] * f.size].reshape(shape)
+        w = np.multiply(w[:, None, :], f, out=dst).reshape(-1, f.shape[1])
     return w
 
 
@@ -182,13 +187,19 @@ class DensityModel:
         half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
         w = np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]) @ self._aug
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
-        # By the triangle inequality -exponent <= (sqrt(half_sq) + _reach)^2, so only a
-        # block with a row past _FLUSH_REACH can hold an exponent below _LOG_TINY.  Its
-        # sub-tiny weights are flushed to exact 0 (exp(-inf)) instead of taking np.exp's
-        # subnormal path; every other weight keeps its bits.
-        if np.sqrt(np.max(half_sq, initial=0.0)) + self._reach > _FLUSH_REACH:
-            np.copyto(w, -np.inf, where=w < _LOG_TINY)
-        return np.exp(w, out=w)
+        return self._exp_flushed(w, np.max(half_sq, initial=0.0))
+
+    def _exp_flushed(self, x: np.ndarray, half_sq: float) -> np.ndarray:
+        """exp(x) in place, for kernel exponents x of queries at most sqrt(2 half_sq) h from c.
+
+        By the triangle inequality -x <= (sqrt(half_sq) + _reach)^2, so only
+        past _FLUSH_REACH can an exponent fall below _LOG_TINY.  There the
+        sub-tiny weights are flushed to exact 0 (exp(-inf)) instead of taking
+        np.exp's subnormal path; every other weight keeps its bits.
+        """
+        if np.sqrt(half_sq) + self._reach > _FLUSH_REACH:
+            np.copyto(x, -np.inf, where=x < _LOG_TINY)
+        return np.exp(x, out=x)
 
     def _axis_factor(self, j: int, a: np.ndarray) -> np.ndarray:
         """exp(-((a_r - X_ij) / h)^2 / 2) as a (len(a), n) matrix, from direct differences."""
@@ -286,7 +297,8 @@ class DensityModel:
 
         Row r holds e_i * (u_i u_i^T - I) at lower-triangle entry
         np.tril_indices(d)[r], with u_i = (at - X_i) / h and
-        e_i = exp(-||u_i||^2 / 2).
+        e_i = exp(-||u_i||^2 / 2), flushed to 0 below the smallest normal
+        float (_exp_flushed).
         """
         # The exponent comes from the differences u_i directly, not from
         # _exp_weights' expansion, for accuracy: the expansion cancels terms
@@ -298,7 +310,8 @@ class DensityModel:
         # u from points as given (a strided transpose, not a contiguous copy)
         # fixes the summation order of ||u_i||^2, on which reported bits depend.
         u = (at[:, None] - self.points.T) / self.h  # (d, n)
-        e = np.exp(-0.5 * np.sum(u**2, axis=0))
+        e = self._exp_flushed(-0.5 * np.sum(u**2, axis=0),
+                              np.sum((at - self._center) ** 2) / (2.0 * self.h**2))
         rows, cols = np.tril_indices(self.d)
         terms = u[rows] * u[cols] * e
         terms[rows == cols] -= e

@@ -14,6 +14,19 @@ is a merge tree over ascent basins (the basin-then-merge scheme of ToMATo,
 Chazal et al. 2013): steepest-ascent pointers label every vertex with its
 basin's peak, and an elder-rule union-find runs over the peaks along the
 basin-boundary edges only.
+
+The band's deviations (counts - 1) @ K come from an exact product: kernel
+weights are scaled by 2^F, F set by the sample size n, and rounded to
+integers, so no sum over the sample can round and its order does not
+matter.  The product skips sample points whose weights on a grid tile all
+round to 0.  The band sorts the sample by its first coordinate, which tiles
+cut finest, and bounds each point's weights on a tile by the product of its
+per-axis kernel factor maxima; rounded products are monotone, so a bound of
+at most 1/2 certifies zeros.  Each tile's product runs over the sorted range
+between the first and last point with a larger bound, and exact zeros
+outside it leave the exact sums unchanged.  Deviations stay in the integer
+scale until the replicates' maxima are divided by 2^F once at the end.  So
+the band has the bits of the plain product over every point.
 """
 
 from __future__ import annotations
@@ -149,24 +162,25 @@ def superlevel_persistence(f: GridFunction) -> np.ndarray:
     return pairs[sort]
 
 
-def _exact_deviations(dev_counts: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """dev_counts @ w.T for bootstrap_band, exact whatever the summation order.
+def _exact_deviations(dev_counts: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dev_counts @ rint(w).T for bootstrap_band, exact whatever the summation order.
 
-    dev_counts (B, n) holds resample counts minus one; w (g, n) holds kernel
-    weights in [0, 1] and is rounded in place onto the grid 2^-F, moving
-    each weight by at most 2^-(F+1).  Why this makes the BLAS product exact:
+    dev_counts (B, k) holds resample counts minus one over k of the n sample
+    points; w (g, k) holds their kernel weights in [0, 1] times 2^F,
+    F = 53 - E, E = ceil(log2(2n)) for the full sample size n, and is rounded
+    in place to integers, which moves each weight by at most 2^-(F+1).  The
+    product goes into the head of the flat buffer `out`.  Why it is exact:
     the multipliers are integers with sum_i |c_i - 1| <= sum_i c_i + n = 2n
-    <= 2^E, E = ceil(log2(2n)), and F = 53 - E.  Every product and every
-    partial sum, in any grouping, is then a multiple of 2^-F of magnitude at
-    most 2^E, i.e. an integer no larger than 2^53 times 2^-F, which float64
+    <= 2^E over all n points, a fortiori over k of them, and each rounded
+    weight is at most 2^F.  Every product and every partial sum, in any
+    grouping, is then an integer of magnitude at most 2^53, which float64
     holds exactly.  So any summation order, thread split or fused
-    multiply-add gives the same bits.
+    multiply-add gives the same bits.  F must come from n, not from k: the
+    bound holds for k columns only because it holds for all n.
     """
-    grid = 2.0 ** (53 - (2 * w.shape[1] - 1).bit_length())
-    w *= grid
     np.rint(w, out=w)
-    w /= grid
-    return dev_counts @ w.T
+    B, g = dev_counts.shape[0], w.shape[0]
+    return np.matmul(dev_counts, w.T, out=out[:B * g].reshape(B, g))
 
 
 def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> float:
@@ -178,25 +192,58 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     Grid evaluation understates the continuum sup-norm slightly.  The grid's
     kernel weights are built tile by tile from per-axis factors, each tile
     within the kernel budget for width max(n, B), and the deviations come
-    from an exact product, so the band does not depend on the tile layout
-    or the BLAS thread count.  Before any resampling, raises ValueError for bad
-    alpha or B, and unless `axes` holds one non-empty, finite 1-d axis per coordinate.
+    from an exact product (_exact_deviations), so the band does not depend
+    on the tile layout or the BLAS thread count.
+
+    The product skips sample points that cannot matter.  The sample is
+    sorted by its first coordinate, and the counts' columns with it; tiles
+    cut that axis finest.  Each tile's first factor is scaled by 2^F, which
+    gives the scaled weights' bits: a power of two scales exactly, and the
+    products of any weight that can round to nonzero stay normal.  The
+    product of a point's per-axis factor maxima, in the same order, bounds
+    its weights on the tile, since rounded products are monotone; where it is
+    at most 1/2 they all round to 0 (ties go to even).  The exact product runs
+    over the sorted range between the first and last point with a larger bound,
+    and a tile without any is skipped; exact zeros leave the exact sums
+    unchanged.  The deviations stay in the integer scale until each
+    replicate's maximum is divided by 2^F once at the end, which by
+    monotone rounding equals dividing each tile's.  So the band has the bits
+    of the plain product over every point.  Before any resampling,
+    raises ValueError for bad alpha or B, and unless `axes` holds one
+    non-empty, finite 1-d axis per coordinate.
     """
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     if B < 1:
         raise ValueError("B must be >= 1")
-    model = DensityModel(pts, h)
+    n = pts.shape[0]
+    order = np.argsort(pts[:, 0], kind="stable")
+    model = DensityModel(pts[order], h)
     tiles = model._grid_tiles(axes, B)  # checks the axes; width B: each tile also makes (B, g)
-    counts = _resample_counts(pts.shape[0], B, seed)
-    counts -= 1.0  # deviation weights: p_star - p_hat = norm * (counts - 1) @ K
-    dev = np.zeros(B)
+    counts = _resample_counts(n, B, seed)
+    for row in counts:  # into sorted order, one row at a time
+        row[:] = row[order] - 1.0  # deviation weights: p_star - p_hat = norm * (counts - 1) @ K
+    grid = 2.0 ** (53 - (2 * n - 1).bit_length())  # 2^F (_exact_deviations)
+    dev = np.zeros(B)  # per replicate, max |deviation| * grid / norm over the tiles so far
+    product = None
     for _, factors in tiles:
-        block = _exact_deviations(counts, _tile_weights(factors))  # (B, g)
-        np.maximum(dev, model._norm * np.max(np.abs(block), axis=1), out=dev)
-        del factors, block  # free this tile before the generator builds the next
-    return ceil_order_statistic(dev, 1.0 - alpha)
+        if product is None:  # buffers for every tile, sized by the first, which is the largest
+            g = int(np.prod([f.shape[0] for f in factors]))
+            weights, product = np.empty(g * n) if model.d > 1 else None, np.empty(B * g)
+        factors[0] *= grid  # exact, and so are the later products of weights that can round up
+        top = factors[0].max(axis=0)
+        for f in factors[1:]:  # in _tile_weights' order, so top bounds every rounded product
+            top *= f.max(axis=0)
+        kept = np.flatnonzero(top > 0.5)
+        if kept.size:
+            cols = slice(kept[0], kept[-1] + 1)
+            block = _exact_deviations(counts[:, cols],
+                                      _tile_weights([f[:, cols] for f in factors], weights), product)
+            np.maximum(dev, np.maximum(block.max(axis=1), -block.min(axis=1)), out=dev)
+        del factors  # free this tile before the generator builds the next
+    np.abs(dev, out=dev)  # np.maximum can keep -0.0 from a tie with +0.0
+    return model._norm * (ceil_order_statistic(dev, 1.0 - alpha) / grid)
 
 
 def run_persistence(data, h: float, alpha: float = 0.10, B: int = 500, seed: int = 0,

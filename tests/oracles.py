@@ -11,6 +11,7 @@ import numpy as np
 
 from modesig import (DensityModel, ModeTestReport, bootstrap_hessian_batch, eigen_rectangles,
                      esp_quantile, find_modes)
+from modesig.boot import _resample_counts, ceil_order_statistic
 
 MAX_DIM = 32
 SYMMETRY_TOL = 1e-10
@@ -99,6 +100,27 @@ def grid_density(points, h, axes) -> np.ndarray:
     dens = np.sum(np.exp(-L(0.5) * np.sum(u * u, axis=2)), axis=1)
     dens *= (2 * L(np.pi)) ** (-L(d) / 2) / (n * L(h) ** d)
     return dens.reshape(mesh[0].shape)
+
+
+def bootstrap_band_reference(data, h, axes, alpha, B, seed) -> float:
+    """bootstrap_band over the whole grid at once: the sample as given, every
+    sample point in the product, weights rounded onto 2^-F and divided back.
+
+    The weights are the products of per-axis factors in axis order, rounded
+    onto the grid 2^-F of bootstrap_band's exactness argument, F from the
+    sample size n; the product with the counts minus one is then exact, and
+    each replicate's deviation is norm times its largest absolute entry.
+    """
+    model = DensityModel(data, h)
+    n = model.n
+    w = np.ones((1, n))
+    for j, a in enumerate(axes):
+        f = np.exp(-0.5 * ((np.asarray(a, dtype=np.float64)[:, None] - model.points[:, j]) / h) ** 2)
+        w = (w[:, None, :] * f).reshape(-1, n)
+    grid = 2.0 ** (53 - (2 * n - 1).bit_length())
+    w = np.rint(w * grid) / grid
+    block = (_resample_counts(n, B, seed) - 1.0) @ w.T
+    return ceil_order_statistic(model._norm * np.max(np.abs(block), axis=1), 1.0 - alpha)
 
 
 def mode_test_reference(X, Y, cfg):

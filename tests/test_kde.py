@@ -281,6 +281,23 @@ def test_sub_tiny_weights_flush_to_exact_zero():
     assert np.any(exponent < np.log(tiny)) and np.any(exponent > np.log(tiny))
 
 
+def test_hessian_terms_far_out_hold_no_subnormal():
+    # A point 40 h from the sample mean: its distances to a sample spread over
+    # 6 h run from about 37 h out, across 37.6 h to 38.6 h, where exp is subnormal
+    tiny = np.finfo(np.float64).tiny
+    rng = np.random.default_rng(32)
+    for d in (1, 2, 3):
+        pts = rng.uniform(-3.0, 3.0, size=(400, d))
+        m = DensityModel(pts, 1.0)
+        at = m._center + 40.0 * np.eye(d)[0]
+        exponent = -0.5 * np.sum((at - pts) ** 2, axis=1)
+        assert np.any((exponent < np.log(tiny)) & (exponent > -744.0)), d
+        terms = m._hessian_terms(at)
+        assert not np.any((terms != 0.0) & (np.abs(terms) < tiny)), d
+        assert np.all(terms[:, exponent < np.log(tiny) - 1e-9] == 0.0), d
+        assert np.any(terms != 0.0), d
+
+
 def test_model_retains_two_copies_of_the_sample():
     # points as given, and the (d + 2, n) operand about the mean; no third copy
     X = np.random.default_rng(14).normal(size=(5000, 10))

@@ -22,7 +22,7 @@ from modesig import (
     significant_pairs,
     superlevel_persistence,
 )
-from oracles import grid_density
+from oracles import bootstrap_band_reference, grid_density
 
 
 def sort_pairs(pairs):
@@ -278,6 +278,53 @@ class TestBand:
         band = bootstrap_band(data, 0.8, self.grid_1d(), alpha=0.1, B=40, seed=2)
         monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 3 * 70)  # 3-row grid blocks
         assert bootstrap_band(data, 0.8, self.grid_1d(), alpha=0.1, B=40, seed=2) == band
+
+    @staticmethod
+    def product_widths(monkeypatch):
+        """Record how many sample columns each exact product of the band takes."""
+        widths = []
+
+        def spy(dev_counts, *rest):
+            widths.append(dev_counts.shape[1])
+            return exact(dev_counts, *rest)
+
+        exact = persist._exact_deviations
+        monkeypatch.setattr(persist, "_exact_deviations", spy)
+        return widths
+
+    @pytest.mark.parametrize("d, n, B, res, budget", [
+        (1, 200, 50, 128, 6 * 400),  # 6-point tiles
+        (2, 512, 40, 128, None),
+        (2, 513, 40, 128, None),  # 2n - 1 gains a bit: the rounding grid halves
+        (3, 300, 400, 16, None),  # more replicates than points
+    ])
+    def test_equals_whole_grid_oracle(self, monkeypatch, d, n, B, res, budget):
+        # two clusters 60 h apart along the first axis, so the tiles between them
+        # drop every sample point and the others drop one cluster
+        if budget is not None:
+            monkeypatch.setattr(kde, "_BLOCK_ENTRIES", budget)
+        rng = np.random.default_rng(100 + d)
+        h = 0.5
+        data = rng.normal(scale=h, size=(n, d)) + 30.0 * h * rng.choice([-1.0, 1.0], size=(n, 1))
+        axes = default_axes(data, h, resolution=res)
+        tiles = sum(1 for _ in DensityModel(data, h)._grid_tiles(axes, B))
+        widths = self.product_widths(monkeypatch)
+        band = bootstrap_band(data, h, axes, alpha=0.1, B=B, seed=d)
+        assert band == bootstrap_band_reference(data, h, axes, alpha=0.1, B=B, seed=d)
+        assert 0 < len(widths) < tiles and max(widths) < n
+
+    def test_product_skips_points_on_blobs(self, monkeypatch):
+        # persist_3d's input with fewer replicates (the same tiles): the tile
+        # products take about two thirds of the (tile, sample point) pairs
+        data = generate(GeneratorSpec(
+            family="mixture", n=600, seed=0,
+            params={"means": [[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]],
+                    "cov_diags": [[0.25] * 3] * 3},
+        ))
+        widths = self.product_widths(monkeypatch)
+        bootstrap_band(data, 0.8, default_axes(data, 0.8, resolution=64), alpha=0.1, B=20, seed=0)
+        assert len(widths) == 320
+        assert sum(widths) < 0.75 * 600 * len(widths), sum(widths) / (600 * len(widths))
 
     def test_alpha_domain(self):
         data = np.zeros((5, 1))

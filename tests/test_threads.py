@@ -21,6 +21,7 @@ KERNELS = r"""
 import hashlib, json
 import numpy as np
 from modesig.boot import _resample_counts
+from modesig import bootstrap_band, default_axes
 from modesig.kde import _BLOCK_ENTRIES, DensityModel, sample_sum
 from modesig.persist import _exact_deviations
 
@@ -39,12 +40,17 @@ for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1)]:
     terms = DensityModel(rng.standard_normal((n, d)), 1.0)._hessian_terms(np.zeros(d))
     counts = _resample_counts(n, B, 0)
     out[f"counts_x_terms_{B}x{n}x{d}"] = digest(sample_sum(counts, terms))
-# (counts - 1) @ w.T: one block of grid points of the persistence band
+# (counts - 1) @ rint(w * 2^F).T: one block of grid points of the persistence band
 centers = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]])
 pts = centers[rng.integers(0, 3, 2000)] + 0.5 * rng.standard_normal((2000, 3))
 for g in [4096, _BLOCK_ENTRIES // 2000]:
     w = DensityModel(pts, 0.8)._exp_weights(rng.uniform(-4.0, 4.0, size=(g, 3)))
-    out[f"band_200x2000x{g}"] = digest(_exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w))
+    w *= 2.0 ** (53 - (2 * 2000 - 1).bit_length())
+    dev = _exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w, np.empty(200 * g))
+    out[f"band_200x2000x{g}"] = digest(dev)
+# the whole band over 32^3 points, whose tiles take sorted column ranges of the sample
+band = bootstrap_band(pts[:600], 0.8, default_axes(pts[:600], 0.8, resolution=32), 0.1, 200, 0)
+out["bootstrap_band_600x200x32768"] = band.hex()
 print(json.dumps(out))
 """
 
