@@ -31,6 +31,8 @@ the band has the bits of the plain product over every point.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,12 +231,11 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     product = None
     for _, factors in tiles:
         if product is None:  # buffers for every tile, sized by the first, which is the largest
-            g = int(np.prod([f.shape[0] for f in factors]))
+            g = math.prod(f.shape[0] for f in factors)
             weights, product = np.empty(g * n) if model.d > 1 else None, np.empty(B * g)
-        factors[0] *= grid  # exact, and so are the later products of weights that can round up
-        top = factors[0].max(axis=0)
-        for f in factors[1:]:  # in _tile_weights' order, so top bounds every rounded product
-            top *= f.max(axis=0)
+        factors[0] *= grid  # exact; weights that can round to nonzero keep their scaled bits
+        # per point, its factor maxima multiplied in _tile_weights' order bound its weights
+        top = functools.reduce(np.multiply, [f.max(axis=0) for f in factors])
         kept = np.flatnonzero(top > 0.5)
         if kept.size:
             cols = slice(kept[0], kept[-1] + 1)
