@@ -23,8 +23,17 @@ On an axis-aligned product grid the kernel factors over the axes,
 exp(-||g - X_i||^2 / 2h^2) = prod_j exp(-(g_j - X_ij)^2 / 2h^2), so grids
 are evaluated in bounded tiles from per-axis factors: a tile of
 t_1 x ... x t_d points costs (t_1 + ... + t_d) * n exponentials, not
-(t_1 * ... * t_d) * n.  Evaluation is exact O(n) per query point; no tree
-or binning approximation is used.
+(t_1 * ... * t_d) * n.
+For density, gradient and mean shift the sample is split once into cells of
+at most _CELL_POINTS points, by median splits along the widest axis, each
+held as a ball (center, radius) and a count.  A query row skips every cell
+whose summed weight is certified, by bounds from the row's distance to the
+cell's ball, to lie below 2^-53 of the row's sum_i w_i; the decision depends
+on the row alone.  With R = max_i ||X_i - c|| + ||q - c||, the skipped
+weights move the density by at most 2^-53 of itself, the gradient by at
+most 2^-53 p(q) R / h^2 and the mean-shift target by about 2^-53 R.  A model
+of one cell (n <= _CELL_POINTS) evaluates every point, with the bits it had
+before cells existed.  Grids and Hessian terms always take every point.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ import numpy as np
 __all__ = ["DensityModel", "as_points"]
 
 _BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
+_CELL_POINTS = 512  # sample points per cell at most (_split_cells); one cell takes no bound work
+_PRUNE_LOG = 53.0 * float(np.log(2.0))  # a row drops at most 2^-53 of its weight mass
+# relative margin on the cell bounds' distances and exponents that covers their rounding,
+# about (d + 4) eps relative, for any d below 1e9 (_kept_cells)
+_BOUND_SLACK = 1e-6
 _LOG_TINY = float(np.log(np.finfo(np.float64).tiny))  # about -708.40; exp below it is subnormal
 # sqrt(-_LOG_TINY), about 26.6, less a 1e-6 margin that covers the exponent's rounding
 # error, about (d + 6) eps relative, for any d below 1e9 (_exp_flushed)
@@ -92,6 +106,21 @@ def _row_blocks(m: int, width: int):
     """Consecutive row slices of an (m, width) array, each within _BLOCK_ENTRIES entries."""
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, m, step))
+
+
+def _split_cells(pts: np.ndarray) -> list:
+    """Index arrays of the cells of pts: median splits along each cell's widest
+    axis, until every cell holds at most _CELL_POINTS points."""
+    cells, stack = [], [np.arange(pts.shape[0])]
+    while stack:
+        idx = stack.pop()
+        if idx.size <= _CELL_POINTS:
+            cells.append(idx)
+            continue
+        sub = pts[idx]
+        order = np.argsort(sub[:, np.argmax(np.ptp(sub, axis=0))], kind="stable")
+        stack += [idx[order[idx.size // 2:]], idx[order[:idx.size // 2]]]
+    return cells
 
 
 def _tile_weights(factors: list, out: np.ndarray | None = None) -> np.ndarray:
@@ -152,6 +181,13 @@ class DensityModel:
     depend on the rows evaluated with it and, for some block shapes, on the
     thread count.  Grid evaluations take no such product: their weights come
     from per-axis factors of direct differences (_grid_tiles).
+    Those three evaluations also skip the sample cells (_split_cells) whose
+    weight a row's bounds certify below 2^-53 of its sum_i w_i (_kept_cells),
+    taking rows that keep the same cells together over a C-ordered gather of
+    their columns of _aug; rows that keep every cell, and every row of a model
+    with one cell (n <= _CELL_POINTS), take the whole sample through
+    _exp_weights, bit for bit as without cells.  Which cells a row keeps
+    depends on the row alone, not on its batch or the thread count.
     """
 
     def __init__(self, points, h: float):
@@ -174,18 +210,34 @@ class DensityModel:
         self._aug = np.ascontiguousarray(np.vstack(
             [centered.T, np.ones(self.n), np.sum(centered**2, axis=1) / (2.0 * h**2)]))
         self._reach = float(np.sqrt(np.max(self._aug[-1])))  # max ||X - c|| / (sqrt(2) h)
+        # Cells of the sample: the cell of each point, and per cell a ball center
+        # (its mean), a radius inflated by _BOUND_SLACK and the log of its count.
+        cells = _split_cells(pts)
+        self._cell_of = np.empty(self.n, dtype=np.intp)
+        for label, idx in enumerate(cells):
+            self._cell_of[idx] = label
+        self._cell_center = np.array([np.mean(pts[idx], axis=0) for idx in cells])
+        self._cell_radius = (1.0 + _BOUND_SLACK) * np.array(
+            [np.sqrt(np.max(np.sum((pts[idx] - ctr) ** 2, axis=1)))
+             for idx, ctr in zip(cells, self._cell_center)])
+        self._cell_log_n = np.log([idx.size for idx in cells])
 
     # -- kernel weights shared by every evaluation --
 
     def _exp_weights(self, q: np.ndarray) -> np.ndarray:
         """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, n) matrix."""
+        return self._kernel_weights(q, self._aug)
+
+    def _kernel_weights(self, q: np.ndarray, aug: np.ndarray, out=None) -> np.ndarray:
+        """exp(-||q_j - X_i||^2 / (2 h^2)) over the sample points whose columns of
+        _aug make up aug, (d + 2, k), as an (m, k) matrix, written into out if given."""
         # Exponent via the expansion (q.x - ||q||^2/2 - ||x||^2/2) / h^2 of the
-        # centered q = q_j - c and x = X_i - c, as one product with _aug whose last two
+        # centered q = q_j - c and x = X_i - c, as one product with aug whose last two
         # terms, -||q||^2/2h^2 times 1 and -1 times ||x||^2/2h^2, are exact, like subtractions.
         # The matmul contracts over the d + 2 rows only; sums go through sample_sum.
         q = q - self._center
         half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
-        w = np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]) @ self._aug
+        w = np.matmul(np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]), aug, out=out)
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
         return self._exp_flushed(w, np.max(half_sq, initial=0.0))
 
@@ -232,19 +284,100 @@ class DensityModel:
         return ((box, [self._axis_factor(j, a[s]) for j, (a, s) in enumerate(zip(axes, box))])
                 for box in itertools.product(*spans))
 
-    def _weighted_sums(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
-        """sum_i w_ji xt[k, i] per query row q_j, as (m, k), in blocks; xt is rows of _aug."""
-        sums = np.empty((q.shape[0], xt.shape[0]))
+    def _kept_cells(self, q: np.ndarray) -> np.ndarray:
+        """The cells each query row keeps, as bits packed little-endian along the
+        cells: an (m, ceil(cells / 8)) uint8 matrix.
+
+        With D the distance from q_j to a cell's center, r its radius and n_C
+        its count, the cell's summed weight lies between
+        n_C exp(-(D + r)^2 / 2h^2) and n_C exp(-max(0, D - r)^2 / 2h^2).  A
+        cell is dropped when its upper bound is below 2^-53 / cells of the
+        largest lower bound, so a row drops at most 2^-53 of its sum_i w_i.
+        Distances and exponents carry a _BOUND_SLACK margin for their
+        rounding.  D comes from direct differences, one coordinate at a time
+        over every cell, in numpy's own elementwise loops: a row's cells
+        depend on the row alone, not on its batch or the BLAS thread count.
+        """
+        cells = self._cell_log_n.size
+        keys = np.empty((q.shape[0], (cells + 7) // 8), dtype=np.uint8)
         for rows in _row_blocks(q.shape[0], self.n):
-            w = self._exp_weights(q[rows])
-            sums[rows] = sample_sum(w, xt)
-            del w  # free this block before the next is built
+            block = q[rows]
+            dist = np.zeros((block.shape[0], cells))
+            for j in range(self.d):
+                diff = block[:, j, None] - self._cell_center[:, j]
+                dist += np.square(diff, out=diff)
+            np.sqrt(dist, out=dist)
+            far = dist * (1.0 + _BOUND_SLACK) + self._cell_radius
+            near = np.maximum(dist * (1.0 - _BOUND_SLACK) - self._cell_radius, 0.0)
+            upper = self._cell_log_n - near**2 / (2.0 * self.h**2)
+            lower = np.max(self._cell_log_n - far**2 / (2.0 * self.h**2), axis=1)
+            floor = lower - _PRUNE_LOG - np.log(cells) - _BOUND_SLACK * (1.0 + np.abs(lower))
+            keys[rows] = np.packbits(upper >= floor[:, None], axis=1, bitorder="little")
+        return keys
+
+    def _row_groups(self, q: np.ndarray):
+        """(rows, cols) for each set of query rows that keep the same cells.
+
+        rows index q in ascending order; cols is an (n,) bool mask of the kept
+        cells' sample points, or None for the rows that keep every cell, which
+        come last (their key is the largest).
+        """
+        keys = self._kept_cells(q)
+        order = np.lexsort(keys.T)  # stable: a group's rows stay in ascending order
+        keys = keys[order]
+        starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+        for rows, key in zip(np.split(order, starts), keys[np.r_[0, starts]]):
+            kept = np.unpackbits(key, count=self._cell_log_n.size, bitorder="little").view(bool)
+            yield rows, None if kept.all() else kept[self._cell_of]
+
+    def _weighted_sums(self, q: np.ndarray, part: slice) -> np.ndarray:
+        """sum_i w_ji _aug[part][k, i] per query row q_j, as (m, k), over the cells
+        the row keeps, in blocks."""
+        sums = np.empty((q.shape[0], part.stop - part.start))
+        if self._cell_log_n.size == 1:  # one cell: no bound work, every row takes the whole sample
+            for rows in _row_blocks(q.shape[0], self.n):
+                w = self._exp_weights(q[rows])
+                sums[rows] = sample_sum(w, self._aug[part])
+                del w  # free this block before the next is built
+            return sums
+        # Blocks cut the rows, taken group after group, where a model without cells cuts q,
+        # and each block takes that model's allocation: the groups' weights share it, and
+        # one buffer per call holds a group's kept columns of _aug, C-ordered in sample order
+        # (_aug[:, cols] is F-ordered).  Other allocation sizes were seen to let the heap
+        # keep a freed block apart from the next, raising peak memory by a block or more.
+        step = max(1, _BLOCK_ENTRIES // self.n)
+        gather = block = None
+        done = used = 0  # rows evaluated so far; entries of the current block in use
+        for rows, cols in self._row_groups(q):
+            if cols is None:  # the last group: free the buffers before whole-sample blocks
+                gather = block = None
+                aug = self._aug
+            else:
+                if gather is None:
+                    gather = np.empty(self._aug.size)
+                aug = gather[:np.count_nonzero(cols) * (self.d + 2)].reshape(self.d + 2, -1)
+                np.compress(cols, self._aug, axis=1, out=aug)
+            lo = 0
+            while lo < rows.size:
+                at = rows[lo:lo + step - done % step]
+                if cols is None:
+                    w = self._exp_weights(q[at])
+                else:
+                    if done % step == 0:  # free the last block before the next is built
+                        block = None
+                        block, used = np.empty(min(step, q.shape[0] - done) * self.n), 0
+                    w = block[used:used + at.size * aug.shape[1]].reshape(at.size, -1)
+                    w = self._kernel_weights(q[at], aug, w)
+                    used += w.size
+                sums[at] = sample_sum(w, aug[part])
+                del w  # free this block before the next is built
+                lo, done = lo + at.size, done + at.size
         return sums
 
     def _mean_shift(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Density and mean-shift target c + sum_i w_i (X_i - c) / sum_i w_i at each
         query row, as (m,) and (m, d); the target is NaN where sum_i w_i = 0."""
-        s = self._weighted_sums(q, self._aug[:self.d + 1])
+        s = self._weighted_sums(q, slice(0, self.d + 1))
         with np.errstate(invalid="ignore"):  # 0 / 0 in rows with no weight at all
             return self._norm * s[:, self.d], self._center + s[:, :self.d] / s[:, self.d:]
 
@@ -253,13 +386,13 @@ class DensityModel:
     def density(self, x):
         """Density at x: scalar for a (d,) query, (m,) array for (m, d)."""
         q, single = _as_query(x, self.d)
-        vals = self._norm * self._weighted_sums(q, self._aug[self.d:self.d + 1])[:, 0]
+        vals = self._norm * self._weighted_sums(q, slice(self.d, self.d + 1))[:, 0]
         return float(vals[0]) if single else vals
 
     def gradient(self, x):
         """Gradient of the density at x: (d,) for a single query, else (m, d)."""
         q, single = _as_query(x, self.d)
-        s = self._weighted_sums(q, self._aug[:self.d + 1])
+        s = self._weighted_sums(q, slice(0, self.d + 1))
         # grad p(x) = -norm/h^2 * sum_i w_i (x - X_i), with x - X_i = (x - c) - (X_i - c)
         g = -(self._norm / self.h**2) * ((q - self._center) * s[:, self.d:] - s[:, :self.d])
         return g[0] if single else g

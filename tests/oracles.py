@@ -85,6 +85,28 @@ def mean_shift_step(model, a) -> np.ndarray:
     return w @ model.points / total
 
 
+def kernel_weights(points, h, q) -> np.ndarray:
+    """exp(-||q_j - X_i||^2 / 2h^2) as an (m, n) matrix in np.longdouble, from
+    the direct differences q_j - X_i over every sample point."""
+    L = np.longdouble
+    u = (np.asarray(q, dtype=L)[:, None, :] - np.asarray(points, dtype=L)[None, :, :]) / L(h)
+    return np.exp(-L(0.5) * np.sum(u * u, axis=2))
+
+
+def kde_reference(points, h, q) -> tuple:
+    """Density, gradient and mean-shift target at the query rows q, in
+    np.longdouble, from every sample point's weight (kernel_weights)."""
+    L = np.longdouble
+    pts = np.asarray(points, dtype=L)
+    n, d = pts.shape
+    w = kernel_weights(pts, h, q)
+    norm = (2 * L(np.pi)) ** (-L(d) / 2) / (n * L(h) ** d)
+    total = np.sum(w, axis=1)
+    weighted = w @ pts
+    grad = -(norm / L(h) ** 2) * (np.asarray(q, dtype=L) * total[:, None] - weighted)
+    return norm * total, grad, weighted / total[:, None]
+
+
 def grid_density(points, h, axes) -> np.ndarray:
     """The KDE on the product grid of `axes`, in np.longdouble.
 

@@ -15,7 +15,7 @@ from modesig import (
     density_grid,
     kde,
 )
-from oracles import grid_density
+from oracles import grid_density, kde_reference, kernel_weights
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -41,15 +41,6 @@ def fd_hessian(model, x, step):
         e[j] = step
         H[:, j] = (model.gradient(x + e) - model.gradient(x - e)) / (2.0 * step)
     return H
-
-
-def direct_density_gradient(points, h, q):
-    """Density and gradient from the unblocked (m, n, d) difference tensor."""
-    n, d = points.shape
-    diff = q[:, None, :] - points[None, :, :]
-    w = np.exp(-np.sum(diff**2, axis=2) / (2.0 * h**2))
-    norm = (2.0 * np.pi) ** (-0.5 * d) / (n * h**d)
-    return norm * w.sum(axis=1), -(norm / h**2) * np.einsum("mn,mnd->md", w, diff)
 
 
 class CountingModel(DensityModel):
@@ -335,7 +326,7 @@ class TestBlocking:
             pts = rng.normal(size=(50, d))
             q = rng.normal(scale=1.5, size=(37, d))
             m = DensityModel(pts, 0.7)
-            dens, grad = direct_density_gradient(pts, 0.7, q)
+            dens, grad, _ = (np.asarray(a, dtype=np.float64) for a in kde_reference(pts, 0.7, q))
             assert_allclose(m.density(q), dens, rtol=1e-13)
             assert_allclose(m.gradient(q), grad, rtol=1e-13, atol=1e-13 * np.abs(grad).max())
 
@@ -379,17 +370,23 @@ class TestBlocking:
 
     def test_memory_bounded_by_block_budget(self):
         rng = np.random.default_rng(13)
-        m = DensityModel(rng.normal(size=(2000, 2)), 0.5)
-        q = rng.normal(size=(20_000, 2))
-        assert q.shape[0] * m.n >= 16 * kde._BLOCK_ENTRIES
-        for evaluate in (m.density, m.gradient):
-            tracemalloc.start()
-            try:
-                evaluate(q)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.25 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"
+        cases = [(rng.normal(size=(2000, 2)), rng.normal(size=(20_000, 2)))]
+        # two clouds 40 h apart: rows drop the far cloud's cells and are evaluated over gathers
+        clouds = rng.normal(size=(2000, 2))
+        clouds[1000:, 0] += 20.0
+        cases.append((clouds, clouds[rng.integers(0, 2000, 20_000)] + rng.normal(size=(20_000, 2))))
+        for pts, q in cases:
+            m = DensityModel(pts, 0.5)
+            assert q.shape[0] * m.n >= 16 * kde._BLOCK_ENTRIES
+            for evaluate in (m.density, m.gradient):
+                tracemalloc.start()
+                try:
+                    evaluate(q)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1.25 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"
+        assert not kept_cells(m, q).all()
 
     def test_grid_memory_bounded_by_block_budget(self):
         # at n = 40,000 a tile holds at most 17 points of the 128^2 grid, so
@@ -411,3 +408,82 @@ class TestBlocking:
             finally:
                 tracemalloc.stop()
             assert peak < bounds[name], f"{name} peaked at {peak} bytes"
+
+
+def clustered_sample(rng, d, n=300, h=0.5):
+    """n points in three unit-h clusters strung along the first axis, 10 h to
+    40 h apart, and queries near them and across the span between them."""
+    centers = np.zeros((3, d))
+    centers[1:, 0] = np.cumsum(rng.uniform(10.0, 40.0, size=2)) * h
+    pts = centers[rng.integers(0, 3, n)] + h * rng.normal(size=(n, d))
+    q = np.concatenate([pts[::3] + 0.5 * h * rng.normal(size=(len(pts[::3]), d)),
+                        rng.uniform(centers.min(0) - 3 * h, centers.max(0) + 3 * h, size=(40, d))])
+    return pts, q
+
+
+def kept_cells(model, q):
+    """(m, cells) bool: the cells each query row keeps."""
+    return np.unpackbits(model._kept_cells(q), axis=1, count=model._cell_log_n.size,
+                         bitorder="little").astype(bool)
+
+
+class TestCells:
+    """Multi-cell models: 32-point cells over a few hundred points, whose rows drop far cells."""
+
+    H = 0.5
+
+    @pytest.fixture(autouse=True)
+    def small_cells(self, monkeypatch):
+        monkeypatch.setattr(kde, "_CELL_POINTS", 32)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_evaluations_match_direct_formula(self, d):
+        # The float64 exponent, expanded about the sample mean c, carries a
+        # rounding error of a few eps times S = (||q - c||^2 + max ||X_i - c||^2) / 2h^2
+        # with or without dropped cells; the dropped mass adds at most 2^-53.
+        rng = np.random.default_rng(40 + d)
+        pts, q = clustered_sample(rng, d, h=self.H)
+        m = DensityModel(pts, self.H)
+        assert m._cell_log_n.size > 1 and not kept_cells(m, q).all()
+        dens, grad, target = (np.asarray(a, dtype=np.float64) for a in kde_reference(pts, self.H, q))
+        S = (np.sum((q - m._center) ** 2, axis=1) + np.max(np.sum((pts - m._center) ** 2, axis=1)))
+        tol = 16.0 * np.finfo(np.float64).eps * (1.0 + S / (2.0 * self.H**2))
+        ms_dens, ms_target = m._mean_shift(q)
+        assert np.all(np.abs(m.density(q) - dens) <= tol * dens)
+        assert np.all(np.abs(ms_dens - dens) <= tol * dens)
+        # the gradient against its scale p / h, the target against h
+        assert np.all(np.abs(m.gradient(q) - grad) <= (tol * dens / self.H)[:, None])
+        assert np.all(np.abs(ms_target - target) <= self.H * tol[:, None])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_dropped_mass_at_most_2_pow_minus_53(self, d):
+        rng = np.random.default_rng(50 + d)
+        pts, q = clustered_sample(rng, d, h=self.H)
+        m = DensityModel(pts, self.H)
+        w = kernel_weights(pts, self.H, q)
+        dropped = ~kept_cells(m, q)[:, m._cell_of]
+        assert np.any(dropped)
+        assert np.all(np.sum(w * dropped, axis=1) <= 2.0**-53 * np.sum(w, axis=1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_kept_cells_depend_on_the_row_alone(self, d):
+        rng = np.random.default_rng(60 + d)
+        pts, q = clustered_sample(rng, d, h=self.H)
+        m = DensityModel(pts, self.H)
+        batch = m._kept_cells(q)
+        alone = np.concatenate([m._kept_cells(row[None, :]) for row in q])
+        shuffled = rng.permutation(q.shape[0])
+        assert np.array_equal(alone, batch)
+        assert np.array_equal(m._kept_cells(q[shuffled]), batch[shuffled])
+
+    def test_rows_evaluated_on_fewer_than_n_columns(self, monkeypatch):
+        columns, sample_sum = [], kde.sample_sum
+        monkeypatch.setattr(kde, "sample_sum",
+                            lambda w, xt: columns.append(w.shape[1]) or sample_sum(w, xt))
+        rng = np.random.default_rng(70)
+        pts, q = clustered_sample(rng, 3, h=self.H)
+        m = DensityModel(pts, self.H)
+        for evaluate in (m.density, m.gradient, m._mean_shift):
+            columns.clear()
+            evaluate(q)
+            assert min(columns) < m.n, evaluate.__name__

@@ -1,5 +1,6 @@
-"""Kernel-level thread invariance: reductions over the sample, and the
-persistence grid built from them, give the same bits at 1 and 2 BLAS threads.
+"""Kernel-level thread invariance: reductions over the sample, the
+persistence grid built from them, and the cells each query keeps give the
+same bits at 1 and 2 BLAS threads.
 
 Each product runs in a fresh interpreter with its thread variables pinned,
 since BLAS reads them once at load.  The shapes are ones at which a BLAS
@@ -51,6 +52,11 @@ for g in [4096, _BLOCK_ENTRIES // 2000]:
 # the whole band over 32^3 points, whose tiles take sorted column ranges of the sample
 band = bootstrap_band(pts[:600], 0.8, default_axes(pts[:600], 0.8, resolution=32), 0.1, 200, 0)
 out["bootstrap_band_600x200x32768"] = band.hex()
+# the cells each mean-shift row keeps, on two 10-d clusters 31.6 h apart in 16 cells
+pts = rng.standard_normal((5000, 10))
+pts[2500:] += 10.0
+model = DensityModel(pts, 1.0)
+out["kept_cells_5000x5000x10"] = digest(model._kept_cells(pts + 0.5 * rng.standard_normal(pts.shape)))
 print(json.dumps(out))
 """
 
