@@ -26,10 +26,12 @@ t_1 x ... x t_d points costs (t_1 + ... + t_d) * n exponentials, not
 (t_1 * ... * t_d) * n.
 For density, gradient and mean shift the sample is split once into cells of
 at most _CELL_POINTS points, by median splits along the widest axis, each
-held as a ball (center, radius) and a count.  A query row skips every cell
+held as a ball (center, radius) and a count.  A query row skips the cells
 whose summed weight is certified, by bounds from the row's distance to the
-cell's ball, to lie below 2^-53 of the row's sum_i w_i; the decision depends
-on the row alone.  With R = max_i ||X_i - c|| + ||q - c||, the skipped
+cell's ball, to lie below 2^-53 of the row's sum_i w_i: it takes one run of
+consecutive cells, from the first to the last it cannot skip, in the order
+in which the cells were split.  The decision depends on the row alone.
+With R = max_i ||X_i - c|| + ||q - c||, the skipped
 weights move the density by at most 2^-53 of itself, the gradient by at
 most 2^-53 p(q) R / h^2 and the mean-shift target by about 2^-53 R.  A model
 of one cell (n <= _CELL_POINTS) evaluates every point, with the bits it had
@@ -108,19 +110,25 @@ def _row_blocks(m: int, width: int):
     return (slice(lo, lo + step) for lo in range(0, m, step))
 
 
-def _split_cells(pts: np.ndarray) -> list:
-    """Index arrays of the cells of pts: median splits along each cell's widest
-    axis, until every cell holds at most _CELL_POINTS points."""
-    cells, stack = [], [np.arange(pts.shape[0])]
+def _split_cells(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of pts by median splits along each cell's widest axis, until
+    every cell holds at most _CELL_POINTS points.
+
+    Returns the point indices cell after cell, depth first with the lower
+    half first, and the (cells + 1,) offsets where each cell starts in them,
+    n last.  One cell keeps the sample order.
+    """
+    order, starts, stack = np.arange(pts.shape[0]), [], [(0, pts.shape[0])]
     while stack:
-        idx = stack.pop()
-        if idx.size <= _CELL_POINTS:
-            cells.append(idx)
+        lo, hi = stack.pop()
+        if hi - lo <= _CELL_POINTS:
+            starts.append(lo)
             continue
-        sub = pts[idx]
-        order = np.argsort(sub[:, np.argmax(np.ptp(sub, axis=0))], kind="stable")
-        stack += [idx[order[idx.size // 2:]], idx[order[:idx.size // 2]]]
-    return cells
+        sub = pts[order[lo:hi]]
+        widest = np.argmax(np.ptp(sub, axis=0))
+        order[lo:hi] = order[lo:hi][np.argsort(sub[:, widest], kind="stable")]
+        stack += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+    return order, np.array(starts + [pts.shape[0]])
 
 
 def _tile_weights(factors: list, out: np.ndarray | None = None) -> np.ndarray:
@@ -173,21 +181,21 @@ class DensityModel:
     after construction, so evaluations are safe to call concurrently.
     ``points``, as given, serves the direct differences (grid factors, Hessian
     terms); the C-ordered (d + 2, n) operand _aug, rows (X - c)^T, 1 and
-    ||X - c||^2 / 2h^2 about the sample mean c, serves the exponent and every
-    sum over the sample, so sums and gradients are taken about c, with the
+    ||X - c||^2 / 2h^2 about the sample mean c with the points cell after cell
+    (_split_cells), serves the exponent and every sum over the sample, so sums and gradients are taken about c, with the
     same bits at any BLAS thread count (sample_sum).
     For density, gradient and mean shift the kernel exponent's contraction
     over the d + 2 rows of _aug is a BLAS product: a query row's last bits can
     depend on the rows evaluated with it and, for some block shapes, on the
     thread count.  Grid evaluations take no such product: their weights come
     from per-axis factors of direct differences (_grid_tiles).
-    Those three evaluations also skip the sample cells (_split_cells) whose
-    weight a row's bounds certify below 2^-53 of its sum_i w_i (_kept_cells),
-    taking rows that keep the same cells together over a C-ordered gather of
-    their columns of _aug; rows that keep every cell, and every row of a model
-    with one cell (n <= _CELL_POINTS), take the whole sample through
-    _exp_weights, bit for bit as without cells.  Which cells a row keeps
-    depends on the row alone, not on its batch or the thread count.
+    Those three evaluations also skip the cells whose weight a row's bounds
+    certify below 2^-53 of its sum_i w_i (_kept_cells), taking rows that keep
+    the same run of cells together over that run's columns of _aug, a view;
+    rows that keep every cell take the whole sample through _exp_weights.  A
+    model of one cell (n <= _CELL_POINTS) does no bound work and keeps the
+    bits it had without cells.  Which cells a row keeps depends on the row
+    alone, not on its batch or the thread count.
     """
 
     def __init__(self, points, h: float):
@@ -195,6 +203,10 @@ class DensityModel:
         h = float(h)
         if not (h > 0.0 and np.isfinite(h)):
             raise ValueError(f"bandwidth must be positive and finite, got {h}")
+        # _aug takes the sample cell after cell, cell C in columns _cell_start[C] on, so the
+        # cells a query row keeps are one run of columns; points keeps the sample order.
+        # The split's temporaries are freed before any array the model keeps is made.
+        order, self._cell_start = _split_cells(pts)
         # A private C-ordered copy: the caller's array stays writable, and
         # summation orders (hence bits) do not depend on its memory layout.
         self.points = pts = pts.copy()
@@ -206,38 +218,36 @@ class DensityModel:
         # Exponent and sums are taken about the sample mean c, so cancellation error does not grow
         # with the data's distance from the origin; vstack gives F order, sample_sum wants C order.
         self._center = np.mean(pts, axis=0)
-        centered = pts - self._center
+        centered = pts[order]
+        centered -= self._center
         self._aug = np.ascontiguousarray(np.vstack(
             [centered.T, np.ones(self.n), np.sum(centered**2, axis=1) / (2.0 * h**2)]))
         self._reach = float(np.sqrt(np.max(self._aug[-1])))  # max ||X - c|| / (sqrt(2) h)
-        # Cells of the sample: the cell of each point, and per cell a ball center
-        # (its mean), a radius inflated by _BOUND_SLACK and the log of its count.
-        cells = _split_cells(pts)
-        self._cell_of = np.empty(self.n, dtype=np.intp)
-        for label, idx in enumerate(cells):
-            self._cell_of[idx] = label
-        self._cell_center = np.array([np.mean(pts[idx], axis=0) for idx in cells])
-        self._cell_radius = (1.0 + _BOUND_SLACK) * np.array(
-            [np.sqrt(np.max(np.sum((pts[idx] - ctr) ** 2, axis=1)))
-             for idx, ctr in zip(cells, self._cell_center)])
-        self._cell_log_n = np.log([idx.size for idx in cells])
+        # Per cell, about c: a ball center (its mean), a radius inflated by _BOUND_SLACK
+        # and the log of its count.
+        counts = np.diff(self._cell_start)
+        self._cell_center = np.add.reduceat(centered, self._cell_start[:-1]) / counts[:, None]
+        centered -= np.repeat(self._cell_center, counts, axis=0)
+        self._cell_radius = (1.0 + _BOUND_SLACK) * np.sqrt(
+            np.maximum.reduceat(np.sum(centered**2, axis=1), self._cell_start[:-1]))
+        self._cell_log_n = np.log(counts)
 
     # -- kernel weights shared by every evaluation --
 
     def _exp_weights(self, q: np.ndarray) -> np.ndarray:
-        """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, n) matrix."""
+        """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, n) matrix, X_i in the column order of _aug."""
         return self._kernel_weights(q, self._aug)
 
-    def _kernel_weights(self, q: np.ndarray, aug: np.ndarray, out=None) -> np.ndarray:
-        """exp(-||q_j - X_i||^2 / (2 h^2)) over the sample points whose columns of
-        _aug make up aug, (d + 2, k), as an (m, k) matrix, written into out if given."""
+    def _kernel_weights(self, q: np.ndarray, aug: np.ndarray) -> np.ndarray:
+        """exp(-||q_j - X_i||^2 / (2 h^2)) over the sample points of aug, (d + 2, k)
+        columns of _aug, as an (m, k) matrix."""
         # Exponent via the expansion (q.x - ||q||^2/2 - ||x||^2/2) / h^2 of the
         # centered q = q_j - c and x = X_i - c, as one product with aug whose last two
         # terms, -||q||^2/2h^2 times 1 and -1 times ||x||^2/2h^2, are exact, like subtractions.
         # The matmul contracts over the d + 2 rows only; sums go through sample_sum.
         q = q - self._center
         half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
-        w = np.matmul(np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]), aug, out=out)
+        w = np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]) @ aug
         np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
         return self._exp_flushed(w, np.max(half_sq, initial=0.0))
 
@@ -285,23 +295,25 @@ class DensityModel:
                 for box in itertools.product(*spans))
 
     def _kept_cells(self, q: np.ndarray) -> np.ndarray:
-        """The cells each query row keeps, as bits packed little-endian along the
-        cells: an (m, ceil(cells / 8)) uint8 matrix.
+        """The cells each query row keeps: an (m, 2) matrix of the first and one
+        past the last cell, in the order of _aug, that the row's bounds cannot drop.
 
         With D the distance from q_j to a cell's center, r its radius and n_C
         its count, the cell's summed weight lies between
         n_C exp(-(D + r)^2 / 2h^2) and n_C exp(-max(0, D - r)^2 / 2h^2).  A
-        cell is dropped when its upper bound is below 2^-53 / cells of the
-        largest lower bound, so a row drops at most 2^-53 of its sum_i w_i.
-        Distances and exponents carry a _BOUND_SLACK margin for their
-        rounding.  D comes from direct differences, one coordinate at a time
-        over every cell, in numpy's own elementwise loops: a row's cells
-        depend on the row alone, not on its batch or the BLAS thread count.
+        cell can be dropped when its upper bound is below 2^-53 / cells of
+        the largest lower bound, so a row drops at most 2^-53 of its
+        sum_i w_i; the row keeps the run of cells from the first to the last
+        it cannot drop.  Distances and exponents carry a _BOUND_SLACK margin
+        for their rounding.  D comes from direct differences, one coordinate
+        at a time over every cell, in numpy's own elementwise loops: a row's
+        cells depend on the row alone, not on its batch or the BLAS thread
+        count.
         """
         cells = self._cell_log_n.size
-        keys = np.empty((q.shape[0], (cells + 7) // 8), dtype=np.uint8)
+        kept = np.empty((q.shape[0], 2), dtype=np.intp)
         for rows in _row_blocks(q.shape[0], self.n):
-            block = q[rows]
+            block = q[rows] - self._center
             dist = np.zeros((block.shape[0], cells))
             for j in range(self.d):
                 diff = block[:, j, None] - self._cell_center[:, j]
@@ -312,72 +324,46 @@ class DensityModel:
             upper = self._cell_log_n - near**2 / (2.0 * self.h**2)
             lower = np.max(self._cell_log_n - far**2 / (2.0 * self.h**2), axis=1)
             floor = lower - _PRUNE_LOG - np.log(cells) - _BOUND_SLACK * (1.0 + np.abs(lower))
-            keys[rows] = np.packbits(upper >= floor[:, None], axis=1, bitorder="little")
-        return keys
+            keep = upper >= floor[:, None]  # true at least where the lower bound is largest
+            kept[rows, 0] = np.argmax(keep, axis=1)
+            kept[rows, 1] = cells - np.argmax(keep[:, ::-1], axis=1)
+        return kept
 
     def _row_groups(self, q: np.ndarray):
         """(rows, cols) for each set of query rows that keep the same cells.
 
-        rows index q in ascending order; cols is an (n,) bool mask of the kept
-        cells' sample points, or None for the rows that keep every cell, which
-        come last (their key is the largest).
+        rows index q in ascending order; cols is the slice of _aug's columns
+        that the rows keep, or None for rows that keep every cell.  A model of
+        one cell takes no bound work: all of q is one group.
         """
-        keys = self._kept_cells(q)
-        order = np.lexsort(keys.T)  # stable: a group's rows stay in ascending order
-        keys = keys[order]
-        starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-        for rows, key in zip(np.split(order, starts), keys[np.r_[0, starts]]):
-            kept = np.unpackbits(key, count=self._cell_log_n.size, bitorder="little").view(bool)
-            yield rows, None if kept.all() else kept[self._cell_of]
+        cells = self._cell_log_n.size
+        key = np.full(q.shape[0], cells)  # cells 0 to cells: every cell
+        if cells > 1:
+            lo, hi = self._kept_cells(q).T
+            key = lo * (cells + 1) + hi
+        order = np.argsort(key, kind="stable")  # a group's rows stay in ascending order
+        keys, first = np.unique(key[order], return_index=True)
+        for k, rows in zip(keys, np.split(order, first[1:])):
+            lo, hi = divmod(int(k), cells + 1)
+            yield rows, None if hi - lo == cells else slice(*self._cell_start[[lo, hi]])
 
-    def _weighted_sums(self, q: np.ndarray, part: slice) -> np.ndarray:
-        """sum_i w_ji _aug[part][k, i] per query row q_j, as (m, k), over the cells
-        the row keeps, in blocks."""
-        sums = np.empty((q.shape[0], part.stop - part.start))
-        if self._cell_log_n.size == 1:  # one cell: no bound work, every row takes the whole sample
-            for rows in _row_blocks(q.shape[0], self.n):
-                w = self._exp_weights(q[rows])
-                sums[rows] = sample_sum(w, self._aug[part])
-                del w  # free this block before the next is built
-            return sums
-        # Blocks cut the rows, taken group after group, where a model without cells cuts q,
-        # and each block takes that model's allocation: the groups' weights share it, and
-        # one buffer per call holds a group's kept columns of _aug, C-ordered in sample order
-        # (_aug[:, cols] is F-ordered).  Other allocation sizes were seen to let the heap
-        # keep a freed block apart from the next, raising peak memory by a block or more.
-        step = max(1, _BLOCK_ENTRIES // self.n)
-        gather = block = None
-        done = used = 0  # rows evaluated so far; entries of the current block in use
+    def _weighted_sums(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
+        """sum_i w_ji xt[k, i] per query row q_j, as (m, k), over the cells the row
+        keeps (_row_groups), in blocks; xt is rows of _aug."""
+        sums = np.empty((q.shape[0], xt.shape[0]))
         for rows, cols in self._row_groups(q):
-            if cols is None:  # the last group: free the buffers before whole-sample blocks
-                gather = block = None
-                aug = self._aug
-            else:
-                if gather is None:
-                    gather = np.empty(self._aug.size)
-                aug = gather[:np.count_nonzero(cols) * (self.d + 2)].reshape(self.d + 2, -1)
-                np.compress(cols, self._aug, axis=1, out=aug)
-            lo = 0
-            while lo < rows.size:
-                at = rows[lo:lo + step - done % step]
-                if cols is None:
-                    w = self._exp_weights(q[at])
-                else:
-                    if done % step == 0:  # free the last block before the next is built
-                        block = None
-                        block, used = np.empty(min(step, q.shape[0] - done) * self.n), 0
-                    w = block[used:used + at.size * aug.shape[1]].reshape(at.size, -1)
-                    w = self._kernel_weights(q[at], aug, w)
-                    used += w.size
-                sums[at] = sample_sum(w, aug[part])
+            aug, part = (self._aug, xt) if cols is None else (self._aug[:, cols], xt[:, cols])
+            for block in _row_blocks(rows.size, aug.shape[1]):
+                at = rows[block]
+                w = self._exp_weights(q[at]) if cols is None else self._kernel_weights(q[at], aug)
+                sums[at] = sample_sum(w, part)
                 del w  # free this block before the next is built
-                lo, done = lo + at.size, done + at.size
         return sums
 
     def _mean_shift(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Density and mean-shift target c + sum_i w_i (X_i - c) / sum_i w_i at each
         query row, as (m,) and (m, d); the target is NaN where sum_i w_i = 0."""
-        s = self._weighted_sums(q, slice(0, self.d + 1))
+        s = self._weighted_sums(q, self._aug[:self.d + 1])
         with np.errstate(invalid="ignore"):  # 0 / 0 in rows with no weight at all
             return self._norm * s[:, self.d], self._center + s[:, :self.d] / s[:, self.d:]
 
@@ -386,13 +372,13 @@ class DensityModel:
     def density(self, x):
         """Density at x: scalar for a (d,) query, (m,) array for (m, d)."""
         q, single = _as_query(x, self.d)
-        vals = self._norm * self._weighted_sums(q, slice(self.d, self.d + 1))[:, 0]
+        vals = self._norm * self._weighted_sums(q, self._aug[self.d:self.d + 1])[:, 0]
         return float(vals[0]) if single else vals
 
     def gradient(self, x):
         """Gradient of the density at x: (d,) for a single query, else (m, d)."""
         q, single = _as_query(x, self.d)
-        s = self._weighted_sums(q, slice(0, self.d + 1))
+        s = self._weighted_sums(q, self._aug[:self.d + 1])
         # grad p(x) = -norm/h^2 * sum_i w_i (x - X_i), with x - X_i = (x - c) - (X_i - c)
         g = -(self._norm / self.h**2) * ((q - self._center) * s[:, self.d:] - s[:, :self.d])
         return g[0] if single else g

@@ -371,7 +371,7 @@ class TestBlocking:
     def test_memory_bounded_by_block_budget(self):
         rng = np.random.default_rng(13)
         cases = [(rng.normal(size=(2000, 2)), rng.normal(size=(20_000, 2)))]
-        # two clouds 40 h apart: rows drop the far cloud's cells and are evaluated over gathers
+        # two clouds 40 h apart: rows drop the far cloud's cells and are evaluated over their runs
         clouds = rng.normal(size=(2000, 2))
         clouds[1000:, 0] += 20.0
         cases.append((clouds, clouds[rng.integers(0, 2000, 20_000)] + rng.normal(size=(20_000, 2))))
@@ -386,7 +386,7 @@ class TestBlocking:
                 finally:
                     tracemalloc.stop()
                 assert peak < 1.25 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"
-        assert not kept_cells(m, q).all()
+        assert not evaluated_points(m, q).all()
 
     def test_grid_memory_bounded_by_block_budget(self):
         # at n = 40,000 a tile holds at most 17 points of the 128^2 grid, so
@@ -421,10 +421,13 @@ def clustered_sample(rng, d, n=300, h=0.5):
     return pts, q
 
 
-def kept_cells(model, q):
-    """(m, cells) bool: the cells each query row keeps."""
-    return np.unpackbits(model._kept_cells(q), axis=1, count=model._cell_log_n.size,
-                         bitorder="little").astype(bool)
+def evaluated_points(model, q):
+    """(m, n) bool: the sample points, in sample order, that each query row's sums take."""
+    order, starts = kde._split_cells(model.points)
+    lo, hi = model._kept_cells(q).T
+    position = np.empty(model.n, dtype=np.intp)
+    position[order] = np.arange(model.n)  # each point's column of _aug
+    return (starts[lo, None] <= position) & (position < starts[hi, None])
 
 
 class TestCells:
@@ -444,7 +447,7 @@ class TestCells:
         rng = np.random.default_rng(40 + d)
         pts, q = clustered_sample(rng, d, h=self.H)
         m = DensityModel(pts, self.H)
-        assert m._cell_log_n.size > 1 and not kept_cells(m, q).all()
+        assert m._cell_log_n.size > 1 and not evaluated_points(m, q).all()
         dens, grad, target = (np.asarray(a, dtype=np.float64) for a in kde_reference(pts, self.H, q))
         S = (np.sum((q - m._center) ** 2, axis=1) + np.max(np.sum((pts - m._center) ** 2, axis=1)))
         tol = 16.0 * np.finfo(np.float64).eps * (1.0 + S / (2.0 * self.H**2))
@@ -461,7 +464,7 @@ class TestCells:
         pts, q = clustered_sample(rng, d, h=self.H)
         m = DensityModel(pts, self.H)
         w = kernel_weights(pts, self.H, q)
-        dropped = ~kept_cells(m, q)[:, m._cell_of]
+        dropped = ~evaluated_points(m, q)
         assert np.any(dropped)
         assert np.all(np.sum(w * dropped, axis=1) <= 2.0**-53 * np.sum(w, axis=1))
 
@@ -487,3 +490,13 @@ class TestCells:
             columns.clear()
             evaluate(q)
             assert min(columns) < m.n, evaluate.__name__
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_empty_query(self, d):
+        pts, _ = clustered_sample(np.random.default_rng(80 + d), d, h=self.H)
+        m = DensityModel(pts, self.H)
+        assert m._cell_log_n.size > 1
+        density, target = m._mean_shift(np.empty((0, d)))
+        assert m.density(np.empty((0, d))).shape == density.shape == (0,)
+        assert m.gradient(np.empty((0, d))).shape == target.shape == (0, d)
+

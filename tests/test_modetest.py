@@ -119,6 +119,14 @@ class TestReportShape:
         assert rep.portraits == ()
         assert rep.stage2_gradient_norms.shape == (0,)
 
+    def test_no_candidate_on_multi_cell_halves(self):
+        # halves of 550 points split into cells (kde._CELL_POINTS = 512), so the
+        # stage-2 gradient at no location takes the cell path with an empty query
+        data = np.random.default_rng(9).normal(size=(1100, 2))
+        rep = run_mode_test(data, ModeTestConfig(h=0.5, B=20, mean_shift=MeanShiftOptions(max_iter=1)))
+        assert rep.k == 0 and rep.portraits == ()
+        assert rep.stage2_gradient_norms.shape == (0,)
+
 
 def mixture_halves(d, seed):
     """Halves of a three-Gaussian mixture in d dimensions, 8 sd between neighbours."""
