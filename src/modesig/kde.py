@@ -337,10 +337,11 @@ class DensityModel:
         one cell takes no bound work: all of q is one group.
         """
         cells = self._cell_log_n.size
-        key = np.full(q.shape[0], cells)  # cells 0 to cells: every cell
-        if cells > 1:
-            lo, hi = self._kept_cells(q).T
-            key = lo * (cells + 1) + hi
+        if cells == 1:
+            yield np.arange(q.shape[0]), None
+            return
+        lo, hi = self._kept_cells(q).T
+        key = lo * (cells + 1) + hi
         order = np.argsort(key, kind="stable")  # a group's rows stay in ascending order
         keys, first = np.unique(key[order], return_index=True)
         for k, rows in zip(keys, np.split(order, first[1:])):

@@ -499,4 +499,3 @@ class TestCells:
         density, target = m._mean_shift(np.empty((0, d)))
         assert m.density(np.empty((0, d))).shape == density.shape == (0,)
         assert m.gradient(np.empty((0, d))).shape == target.shape == (0, d)
-
