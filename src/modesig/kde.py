@@ -182,8 +182,9 @@ class DensityModel:
     ``points``, as given, serves the direct differences (grid factors, Hessian
     terms); the C-ordered (d + 2, n) operand _aug, rows (X - c)^T, 1 and
     ||X - c||^2 / 2h^2 about the sample mean c with the points cell after cell
-    (_split_cells), serves the exponent and every sum over the sample, so sums and gradients are taken about c, with the
-    same bits at any BLAS thread count (sample_sum).
+    (_split_cells), serves the exponent and every sum over the sample, so
+    sums and gradients are taken about c, with the same bits at any BLAS
+    thread count (sample_sum).
     For density, gradient and mean shift the kernel exponent's contraction
     over the d + 2 rows of _aug is a BLAS product: a query row's last bits can
     depend on the rows evaluated with it and, for some block shapes, on the
@@ -330,35 +331,45 @@ class DensityModel:
         return kept
 
     def _row_groups(self, q: np.ndarray):
-        """(rows, cols) for each set of query rows that keep the same cells.
+        """Query rows grouped by the cells they keep, as (order, groups).
 
-        rows index q in ascending order; cols is the slice of _aug's columns
-        that the rows keep, or None for rows that keep every cell.  A model of
-        one cell takes no bound work: all of q is one group.
+        order permutes q so that each group's rows are consecutive, or is None
+        when q needs no permutation.  groups holds (rows, cols) per group:
+        rows is its slice of q[order], cols the slice of _aug's columns that
+        its rows keep, or None for rows that keep every cell.  A model of one
+        cell takes no bound work: all of q is one group.
         """
         cells = self._cell_log_n.size
         if cells == 1:
-            yield np.arange(q.shape[0]), None
-            return
+            return None, [(slice(None), None)]
         lo, hi = self._kept_cells(q).T
         key = lo * (cells + 1) + hi
-        order = np.argsort(key, kind="stable")  # a group's rows stay in ascending order
+        order = np.argsort(key, kind="stable")
         keys, first = np.unique(key[order], return_index=True)
-        for k, rows in zip(keys, np.split(order, first[1:])):
+        groups = []
+        for k, start, stop in zip(keys, first, [*first[1:], q.shape[0]]):
             lo, hi = divmod(int(k), cells + 1)
-            yield rows, None if hi - lo == cells else slice(*self._cell_start[[lo, hi]])
+            cols = None if hi - lo == cells else slice(*self._cell_start[[lo, hi]])
+            groups.append((slice(start, stop), cols))
+        return order, groups
 
     def _weighted_sums(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
         """sum_i w_ji xt[k, i] per query row q_j, as (m, k), over the cells the row
         keeps (_row_groups), in blocks; xt is rows of _aug."""
+        order, groups = self._row_groups(q)
+        grouped = q if order is None else q[order]
         sums = np.empty((q.shape[0], xt.shape[0]))
-        for rows, cols in self._row_groups(q):
+        grouped_sums = sums if order is None else np.empty_like(sums)
+        for rows, cols in groups:
             aug, part = (self._aug, xt) if cols is None else (self._aug[:, cols], xt[:, cols])
-            for block in _row_blocks(rows.size, aug.shape[1]):
-                at = rows[block]
-                w = self._exp_weights(q[at]) if cols is None else self._kernel_weights(q[at], aug)
-                sums[at] = sample_sum(w, part)
+            rows_q, rows_sums = grouped[rows], grouped_sums[rows]
+            for block in _row_blocks(rows_q.shape[0], aug.shape[1]):
+                at = rows_q[block]
+                w = self._exp_weights(at) if cols is None else self._kernel_weights(at, aug)
+                rows_sums[block] = sample_sum(w, part)
                 del w  # free this block before the next is built
+        if order is not None:  # back to the rows' order in q
+            sums[order] = grouped_sums
         return sums
 
     def _mean_shift(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
