@@ -206,7 +206,7 @@ class DensityModel:
             raise ValueError(f"bandwidth must be positive and finite, got {h}")
         # _aug takes the sample cell after cell, cell C in columns _cell_start[C] on, so the
         # cells a query row keeps are one run of columns; points keeps the sample order.
-        # The split's temporaries are freed before any array the model keeps is made.
+        # Split first, so that its temporaries are freed before any array the model keeps.
         order, self._cell_start = _split_cells(pts)
         # A private C-ordered copy: the caller's array stays writable, and
         # summation orders (hence bits) do not depend on its memory layout.
@@ -226,12 +226,12 @@ class DensityModel:
         self._reach = float(np.sqrt(np.max(self._aug[-1])))  # max ||X - c|| / (sqrt(2) h)
         # Per cell, about c: a ball center (its mean), a radius inflated by _BOUND_SLACK
         # and the log of its count.
-        counts = np.diff(self._cell_start)
-        self._cell_center = np.add.reduceat(centered, self._cell_start[:-1]) / counts[:, None]
-        centered -= np.repeat(self._cell_center, counts, axis=0)
-        self._cell_radius = (1.0 + _BOUND_SLACK) * np.sqrt(
-            np.maximum.reduceat(np.sum(centered**2, axis=1), self._cell_start[:-1]))
-        self._cell_log_n = np.log(counts)
+        cells = [centered[lo:hi] for lo, hi in zip(self._cell_start[:-1], self._cell_start[1:])]
+        self._cell_center = np.array([np.mean(x, axis=0) for x in cells])
+        self._cell_radius = (1.0 + _BOUND_SLACK) * np.array(
+            [np.sqrt(np.max(np.sum((x - c) ** 2, axis=1)))
+             for x, c in zip(cells, self._cell_center)])
+        self._cell_log_n = np.log(np.diff(self._cell_start))
 
     # -- kernel weights shared by every evaluation --
 
