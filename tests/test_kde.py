@@ -421,6 +421,15 @@ def clustered_sample(rng, d, n=300, h=0.5):
     return pts, q
 
 
+def uniform_sample(rng, d, n=300, h=0.5):
+    """n points uniform in a box 15 h long on the first axis and h wide on the others,
+    and queries in the box 17 h long around it."""
+    pts, q = rng.uniform(0.0, h, size=(n, d)), rng.uniform(0.0, h, size=(200, d))
+    pts[:, 0] *= 15.0
+    q[:, 0] = 17.0 * q[:, 0] - h
+    return pts, q
+
+
 def evaluated_points(model, q):
     """(m, n) bool: the sample points, in sample order, that each query row's sums take."""
     order, starts = kde._split_cells(model.points)
@@ -445,28 +454,32 @@ class TestCells:
         # rounding error of a few eps times S = (||q - c||^2 + max ||X_i - c||^2) / 2h^2
         # with or without dropped cells; the dropped mass adds at most 2^-53.
         rng = np.random.default_rng(40 + d)
-        pts, q = clustered_sample(rng, d, h=self.H)
-        m = DensityModel(pts, self.H)
-        assert m._cell_log_n.size > 1 and not evaluated_points(m, q).all()
-        dens, grad, target = (np.asarray(a, dtype=np.float64) for a in kde_reference(pts, self.H, q))
-        S = (np.sum((q - m._center) ** 2, axis=1) + np.max(np.sum((pts - m._center) ** 2, axis=1)))
-        tol = 16.0 * np.finfo(np.float64).eps * (1.0 + S / (2.0 * self.H**2))
-        ms_dens, ms_target = m._mean_shift(q)
-        assert np.all(np.abs(m.density(q) - dens) <= tol * dens)
-        assert np.all(np.abs(ms_dens - dens) <= tol * dens)
-        # the gradient against its scale p / h, the target against h
-        assert np.all(np.abs(m.gradient(q) - grad) <= (tol * dens / self.H)[:, None])
-        assert np.all(np.abs(ms_target - target) <= self.H * tol[:, None])
+        for pts, q in (clustered_sample(rng, d, h=self.H), uniform_sample(rng, d, h=self.H)):
+            m = DensityModel(pts, self.H)
+            assert m._cell_log_n.size > 1 and not evaluated_points(m, q).all()
+            dens, grad, target = (np.asarray(a, dtype=np.float64)
+                                  for a in kde_reference(pts, self.H, q))
+            S = (np.sum((q - m._center) ** 2, axis=1)
+                 + np.max(np.sum((pts - m._center) ** 2, axis=1)))
+            tol = 16.0 * np.finfo(np.float64).eps * (1.0 + S / (2.0 * self.H**2))
+            ms_dens, ms_target = m._mean_shift(q)
+            assert np.all(np.abs(m.density(q) - dens) <= tol * dens)
+            assert np.all(np.abs(ms_dens - dens) <= tol * dens)
+            # the gradient against its scale p / h, the target against h
+            assert np.all(np.abs(m.gradient(q) - grad) <= (tol * dens / self.H)[:, None])
+            assert np.all(np.abs(ms_target - target) <= self.H * tol[:, None])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_dropped_mass_at_most_2_pow_minus_53(self, d):
+        # clustered rows drop whole clusters; uniform rows drop cells next to kept
+        # ones, whose nearest points lie about a cell radius closer than their centers
         rng = np.random.default_rng(50 + d)
-        pts, q = clustered_sample(rng, d, h=self.H)
-        m = DensityModel(pts, self.H)
-        w = kernel_weights(pts, self.H, q)
-        dropped = ~evaluated_points(m, q)
-        assert np.any(dropped)
-        assert np.all(np.sum(w * dropped, axis=1) <= 2.0**-53 * np.sum(w, axis=1))
+        for pts, q in (clustered_sample(rng, d, h=self.H), uniform_sample(rng, d, h=self.H)):
+            m = DensityModel(pts, self.H)
+            w = kernel_weights(pts, self.H, q)
+            dropped = ~evaluated_points(m, q)
+            assert np.any(dropped)
+            assert np.all(np.sum(w * dropped, axis=1) <= 2.0**-53 * np.sum(w, axis=1))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_kept_cells_depend_on_the_row_alone(self, d):
