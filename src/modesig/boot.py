@@ -74,9 +74,16 @@ class EigenPortrait:
 
 # --- resampling core ---------------------------------------------------------
 
+_COUNT_BLOCK = 1 << 18  # count entries converted to float64 at a time in _boot: 2 MB
+
+
 def _resample_counts(n: int, B: int, seed: int) -> np.ndarray:
-    """(B, n) multiplicity matrix: row b counts each data index in resample b."""
-    counts = np.empty((B, n))
+    """(B, n) multiplicity matrix: row b counts each data index in resample b.
+
+    A count is at most n, so it is held exactly as uint16 when n <= 65535 and
+    as uint32 otherwise: a quarter or half of float64's bytes.
+    """
+    counts = np.empty((B, n), dtype=np.uint16 if n <= np.iinfo(np.uint16).max else np.uint32)
     for b in range(B):
         idx = np.random.default_rng([seed, b]).integers(0, n, size=n)
         counts[b] = np.bincount(idx, minlength=n)
@@ -143,13 +150,21 @@ def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[Boot
 
 def _boot(model: DensityModel, points, counts: np.ndarray) -> list[BootstrapDraws]:
     """Bootstrap draws of the model's Hessian at each point, one replicate per row of
-    the (B, n) multiplicity matrix counts (_resample_counts)."""
+    the (B, n) multiplicity matrix counts (_resample_counts).
+
+    The integer counts are converted to float64 in blocks of rows of at most
+    _COUNT_BLOCK entries; each replicate's Hessian is its own row's sum, so
+    the bits do not depend on the blocks.
+    """
     ones = np.ones((1, model.n))
+    step = max(1, _COUNT_BLOCK // model.n)
     out = []
     for at in points:
         terms = model._hessian_terms(at)
+        hess = np.concatenate([model._hessians(counts[lo:lo + step].astype(np.float64), terms)
+                               for lo in range(0, counts.shape[0], step)])
         # eigvalsh sorts ascending; rows are reported descending
-        lam_star = np.linalg.eigvalsh(model._hessians(counts, terms))[:, ::-1]
+        lam_star = np.linalg.eigvalsh(hess)[:, ::-1]
         lam_hat = np.linalg.eigvalsh(model._hessians(ones, terms))[0, ::-1]
         out.append(
             BootstrapDraws(

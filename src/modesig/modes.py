@@ -1,22 +1,41 @@
 """Mode seeking by mean shift, with deduplication and basin labeling.
 
-Each starting point is iterated through the kernel-weighted mean of the
-data until the step length drops below ``step_tol = STEP_TOL * h``, or
-until ``MeanShiftOptions.max_iter`` steps.  With a Gaussian kernel the
-update satisfies
+Each starting point climbs the density by mean shift, accelerated by
+Anderson(1) extrapolation: at an accepted point x_t with mean-shift target
+T_t = m(x_t) (the kernel-weighted mean of the data) and residual
+r_t = T_t - x_t, the next point is
+
+    x_{t+1} = T_t - g_t (T_t - T_{t-1}),  g_t = <r_t - r_{t-1}, r_t> / ||r_t - r_{t-1}||**2,
+
+or the plain step T_t when the row has no history, when r_t = r_{t-1}, or
+when that point would lie behind T_t, <x_{t+1} - T_t, r_t> <= 0: there the
+residuals grow and the extrapolation heads back to a fixed point the climb is
+leaving, such as an antimode or a saddle.  A safeguard keeps the climb
+monotone: an extrapolated point of lower density than the last accepted
+point is rejected, and the row goes to that point's plain target, already
+computed, with its history cleared.  Densities along accepted points
+therefore never fall (but for rounding in plain steps).  A start near the
+boundary between two basins can still end at the other mode than plain
+mean shift's.
+
+A trajectory stops at the first accepted point a with step length
+||m(a) - a|| below ``step_tol = STEP_TOL * h``, or after
+``MeanShiftOptions.max_iter`` sweeps.  With a Gaussian kernel
 
     grad p(a) = p(a) / h**2 * (m(a) - a),
 
-so a trajectory is stopped *at the point where the small step was
-measured*: the returned location then has gradient norm below
-``p(a) * step_tol / h**2`` by construction.  Mean shift climbs the
-density monotonically, so the sweep already knows every endpoint's
-density.  Converged endpoints are merged by single linkage at
-``merge_tol = MERGE_TOL * h``; one density order of the endpoints picks
-each cluster's candidate, its highest-density endpoint, and orders the
-candidates.  A run in which nothing converges takes the same path and
-yields no candidate.  Both tolerances are fixed multiples of the
+so the returned location, the point where the small step was measured, has
+gradient norm below ``p(a) * step_tol / h**2`` by construction, and the
+sweep already knows its density.  Converged endpoints are merged by single
+linkage at ``merge_tol = MERGE_TOL * h``; one density order of the
+endpoints picks each cluster's candidate, its highest-density endpoint, and
+orders the candidates.  A run in which nothing converges takes the same path
+and yields no candidate.  Both tolerances are fixed multiples of the
 bandwidth, so behavior does not depend on the units of the data.
+
+References: Carreira-Perpinan, "Acceleration strategies for Gaussian
+mean-shift image segmentation" (CVPR 2006); Walker & Ni, "Anderson
+acceleration for fixed-point iterations" (SIAM J. Numer. Anal. 2011).
 """
 
 from __future__ import annotations
@@ -38,8 +57,10 @@ MERGE_TOL = 1e-2  # endpoints closer than MERGE_TOL * h merge (single linkage)
 class MeanShiftOptions:
     """Iteration cap for find_modes.
 
-    A trajectory still moving by STEP_TOL * h or more after max_iter steps
-    is flagged non-converged.
+    max_iter caps a trajectory's sweeps, each one evaluation of the mean
+    shift at its current point, rejected extrapolations included.  A
+    trajectory still moving by STEP_TOL * h or more at its last sweep is
+    flagged non-converged.
     """
 
     max_iter: int = 500
@@ -47,7 +68,12 @@ class MeanShiftOptions:
 
 @dataclass(frozen=True)
 class ModeCandidate:
-    """A located mode: position, density there, and how it was reached."""
+    """A located mode: position, density there, and how it was reached.
+
+    iterations is the largest number of sweeps, rejected extrapolations
+    included, that a converged trajectory of its basin took before the sweep
+    that found it converged.
+    """
 
     location: np.ndarray
     density_value: float
@@ -64,8 +90,11 @@ class ClusterAssignment:
     converged[i] says whether trajectory i met the step tolerance; only
     converged trajectories count toward basin sizes.  diagnostics carries the
     candidates' grad_norms against grad_tol = 1e-6 * (peak candidate density) / h,
-    the worst per-step density change (ascent check), and the non-converged count.
-    With no candidate, grad_norms is empty and grad_tol is NaN.
+    min_ascent_delta, the worst density change from one accepted point to the
+    next (ascent check; inf if no trajectory took an accepted step),
+    n_rejected, the extrapolations the safeguard rejected, and n_unconverged,
+    the non-converged count.  With no candidate, grad_norms is empty and
+    grad_tol is NaN.
     """
 
     labels: np.ndarray
@@ -109,34 +138,79 @@ def find_modes(
     m = mesh.shape[0]
 
     current = mesh.copy()
-    density = np.zeros(m)  # each row's latest density: its endpoint density once it finishes
+    # Per row: the target and residual at its last accepted point (NaN residual: no
+    # history), and whether its current point is an extrapolation still to be checked.
+    target = np.full_like(current, np.nan)
+    resid = np.full_like(current, np.nan)
+    extrapolated = np.zeros(m, dtype=bool)
+    density = np.zeros(m)  # at each row's last accepted point: its endpoint's once it finishes
     iterations = np.zeros(m, dtype=np.int64)
     converged = np.zeros(m, dtype=bool)
-    min_ascent_delta = np.inf  # most negative observed p(a_{t+1}) - p(a_t)
+    min_ascent_delta = np.inf  # most negative p(x_{t+1}) - p(x_t) between accepted points
+    n_rejected = 0
 
     active = np.arange(m)
     for it in range(max_iter + 1):
         if active.size == 0:
             break
-        new_density, shifted = model._mean_shift(current[active])
-        if it:  # every row still active was also evaluated at the previous sweep
-            min_ascent_delta = min(min_ascent_delta, float(np.min(new_density - density[active])))
-        density[active] = new_density
-
-        step = np.linalg.norm(shifted - current[active], axis=1)
-        dead = np.isnan(step)  # absurdly far starts: no neighborhood, no target
-        done = step < step_tol
         # the final sweep only measures convergence and takes no step
-        finish = done | dead if it < max_iter else np.ones(active.size, dtype=bool)
+        finish, done, delta, rejected = _sweep(model, active, it == max_iter, step_tol, current,
+                                               target, resid, extrapolated, density)
+        if it:  # every row still active has an accepted point from an earlier sweep
+            min_ascent_delta = min(min_ascent_delta, delta)
+        n_rejected += rejected
         fin_rows = active[finish]
         iterations[fin_rows] = it
         converged[fin_rows] = done[finish]
         active = active[~finish]
-        current[active] = shifted[~finish]
 
     # a finished row is never moved again, so `current` holds every endpoint
     return _merge_candidates(model, current, density, iterations, converged, merge_tol,
-                             min_ascent_delta)
+                             min_ascent_delta, n_rejected)
+
+
+def _sweep(model, rows, final, step_tol, current, target, resid, extrapolated, density):
+    """One safeguarded Anderson(1) sweep over the active rows, updating the per-row
+    state in place; returns (finish, done, min_delta, rejected).
+
+    finish and done flag, over rows, the rows that stop and those that stop
+    converged; min_delta is the smallest density change at an accepted point
+    (inf if none) and rejected the number of rejected extrapolations.  A
+    function of its own, so that its temporaries are freed before the next
+    sweep's kernel weights are built.
+    """
+    x = current[rows]
+    p, shifted = model._mean_shift(x)
+    last = density[rows]
+    reject = extrapolated[rows] & (p < last)
+    accept = ~reject
+    min_delta = float(np.min(p[accept] - last[accept], initial=np.inf))
+
+    # A rejected row goes to the plain target of its last accepted point, with no history.
+    back = rows[reject]
+    current[back] = target[back]
+    resid[back] = np.nan
+    extrapolated[back] = False
+
+    r = shifted - x
+    step = np.linalg.norm(r, axis=1)
+    done = accept & (step < step_tol)
+    dead = accept & np.isnan(step)  # absurdly far starts: no neighborhood, no target
+    finish = np.ones(rows.size, dtype=bool) if final else done | dead
+    density[rows[accept]] = p[accept]
+
+    move = accept & ~finish
+    at, shifted, r = rows[move], shifted[move], r[move]
+    dr = r - resid[at]  # NaN without history
+    norm2 = np.sum(dr**2, axis=1)
+    gamma = np.divide(np.sum(dr * r, axis=1), norm2, out=np.zeros(at.size), where=norm2 > 0.0)
+    ahead = shifted - target[at]  # T_t - T_{t-1}
+    ext = gamma * np.sum(ahead * r, axis=1) < 0.0  # the extrapolated point lies ahead of T_t
+    current[at] = np.where(ext[:, None], shifted - gamma[:, None] * ahead, shifted)
+    target[at] = shifted
+    resid[at] = r
+    extrapolated[at] = ext
+    return finish, done, min_delta, int(np.count_nonzero(reject))
 
 
 def _sq_dist_blocks(a, b):
@@ -147,7 +221,7 @@ def _sq_dist_blocks(a, b):
 
 
 def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol,
-                      min_ascent_delta):
+                      min_ascent_delta, n_rejected):
     """Single-linkage dedup of converged endpoints; build candidates and labels."""
     conv_idx = np.flatnonzero(converged)
     pts = endpoint[conv_idx]
@@ -217,6 +291,7 @@ def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol
         diagnostics={
             "n_unconverged": int(stray.size),
             "min_ascent_delta": min_ascent_delta,
+            "n_rejected": n_rejected,
             "grad_norms": np.linalg.norm(model.gradient(locations), axis=1),
             "grad_tol": 1e-6 * (float(dens[best[0]]) if k else np.nan) / model.h,
         },

@@ -223,9 +223,8 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     order = np.argsort(pts[:, 0], kind="stable")
     model = DensityModel(pts[order], h)
     tiles = model._grid_tiles(axes, B)  # checks the axes; width B: each tile also makes (B, g)
-    counts = _resample_counts(n, B, seed)
-    for row in counts:  # into sorted order, one row at a time
-        row[:] = row[order] - 1.0  # deviation weights: p_star - p_hat = norm * (counts - 1) @ K
+    # deviation weights in sorted order: p_star - p_hat = norm * (counts - 1) @ K
+    counts = _resample_counts(n, B, seed)[:, order] - 1.0
     grid = 2.0 ** (53 - (2 * n - 1).bit_length())  # 2^F (_exact_deviations)
     dev = np.zeros(B)  # per replicate, max |deviation| * grid / norm over the tiles so far
     product = None

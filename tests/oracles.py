@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from modesig import (DensityModel, ModeTestReport, bootstrap_hessian_batch, eigen_rectangles,
-                     esp_quantile, find_modes)
+                     esp_quantile, find_modes, modes)
 from modesig.boot import _resample_counts, ceil_order_statistic
 
 MAX_DIM = 32
@@ -83,6 +83,41 @@ def mean_shift_step(model, a) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("empty neighborhood: all kernel weights underflowed to zero")
     return w @ model.points / total
+
+
+def plain_mean_shift(model, max_iter=500):
+    """find_modes from every sample point by the plain update x <- m(x), with no
+    extrapolation, as (candidates, assignment).
+
+    Each trajectory stops at the first point x with ||m(x) - x|| below
+    STEP_TOL * h, or after max_iter steps; endpoints are merged by
+    find_modes' own single linkage.  Only rows still moving are evaluated,
+    one model._mean_shift call per sweep, so counting that call's rows
+    counts the work.
+    """
+    step_tol = modes.STEP_TOL * model.h
+    current = model.points.copy()
+    m = current.shape[0]
+    density, iterations = np.zeros(m), np.zeros(m, dtype=np.int64)
+    converged = np.zeros(m, dtype=bool)
+    min_ascent_delta = np.inf
+    active = np.arange(m)
+    for it in range(max_iter + 1):
+        if active.size == 0:
+            break
+        p, target = model._mean_shift(current[active])
+        if it:
+            min_ascent_delta = min(min_ascent_delta, float(np.min(p - density[active])))
+        density[active] = p
+        step = np.linalg.norm(target - current[active], axis=1)
+        done = step < step_tol
+        finish = done | np.isnan(step) if it < max_iter else np.ones(active.size, dtype=bool)
+        iterations[active[finish]] = it
+        converged[active[finish]] = done[finish]
+        active = active[~finish]
+        current[active] = target[~finish]
+    return modes._merge_candidates(model, current, density, iterations, converged,
+                                   modes.MERGE_TOL * model.h, min_ascent_delta, 0)
 
 
 def kernel_weights(points, h, q) -> np.ndarray:

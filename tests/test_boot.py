@@ -101,6 +101,24 @@ class TestDraws:
         mc_sd = np.std(fresh, ddof=1)
         assert 0.5 <= boot_sd / mc_sd <= 2.0, f"ratio {boot_sd / mc_sd:.2f}"
 
+    def test_counts_compact_and_exact(self):
+        counts = boot._resample_counts(300, 9, 3)
+        assert counts.dtype == np.uint16 and np.all(counts.sum(axis=1) == 300)
+        assert boot._resample_counts(65_535, 1, 0).dtype == np.uint16
+        wide = boot._resample_counts(65_536, 1, 0)
+        assert wide.dtype == np.uint32 and wide.sum() == 65_536
+
+    def test_hessians_do_not_depend_on_count_blocks(self, monkeypatch):
+        # the (B, n) counts are converted to float64 a block of rows at a time;
+        # 2 rows per block here, against every row at once in float64
+        Y = np.random.default_rng(4).normal(size=(300, 3))
+        model, at = DensityModel(Y, 0.8), np.array([0.1, -0.2, 0.3])
+        counts = boot._resample_counts(300, 9, 3)
+        monkeypatch.setattr(boot, "_COUNT_BLOCK", 2 * 300 + 1)
+        (draws,) = boot._boot(model, [at], counts)
+        whole = model._hessians(counts.astype(np.float64), model._hessian_terms(at))
+        assert np.array_equal(draws.lambda_star, np.linalg.eigvalsh(whole)[:, ::-1])
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             bootstrap_hessian(np.zeros((3, 1)), 1.0, np.zeros(1), B=0, seed=0)

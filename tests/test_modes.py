@@ -6,13 +6,34 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from modesig import DensityModel, MeanShiftOptions, find_modes, modes
-from oracles import mean_shift_step
+from modesig import (DensityModel, GeneratorSpec, MeanShiftOptions, default_grid, find_modes,
+                     generate, modes, split)
+from oracles import mean_shift_step, plain_mean_shift
 
 
 def two_cluster_data(seed=0, sep=5.0, n=100):
     rng = np.random.default_rng(seed)
     return np.concatenate([rng.normal(-sep, 1.0, n), rng.normal(sep, 1.0, n)])
+
+
+def scan_2d_input(seed=0):
+    """The first half of the split and the 30-bandwidth grid of the benchmark's
+    scan_2d workload (bench/workloads.py) at `seed`."""
+    pts = generate(GeneratorSpec(family="mixture", n=1000, seed=seed,
+                                 params={"means": [[-6.0, 0.0], [0.0, 0.0], [6.0, 3.0]]}))
+    return split(pts, seed)[0], default_grid(pts, count=30)
+
+
+class RowCounting(DensityModel):
+    """A DensityModel that counts the query rows of its mean-shift evaluations."""
+
+    def __init__(self, points, h):
+        super().__init__(points, h)
+        self.rows = 0
+
+    def _mean_shift(self, q):
+        self.rows += q.shape[0]
+        return super()._mean_shift(q)
 
 
 class TestMeanShiftStep:
@@ -128,8 +149,8 @@ class TestFindModes:
     def test_unconverged_flagged_and_excluded_from_basins(self):
         data = two_cluster_data(seed=17)
         m = DensityModel(data, 1.0)
-        # iteration cap chosen so only some trajectories finish
-        cands, asg = find_modes(m, opts=MeanShiftOptions(max_iter=20))
+        # iteration cap chosen so only some trajectories finish: 33 of 200 at 3 sweeps
+        cands, asg = find_modes(m, opts=MeanShiftOptions(max_iter=3))
         n_conv = int(np.sum(asg.converged))
         assert 0 < n_conv < data.shape[0]
         assert asg.diagnostics["n_unconverged"] == data.shape[0] - n_conv
@@ -138,7 +159,8 @@ class TestFindModes:
 
     def test_nothing_converges_yields_no_candidates(self):
         data = two_cluster_data(seed=17)
-        cands, asg = find_modes(DensityModel(data, 1.0), opts=MeanShiftOptions(max_iter=2))
+        # one step from each sample point: none is within step_tol of a mode
+        cands, asg = find_modes(DensityModel(data, 1.0), opts=MeanShiftOptions(max_iter=1))
         assert len(cands) == 0
         assert not np.any(asg.converged)
         assert np.all(asg.labels == -1)
@@ -223,3 +245,62 @@ class TestFindModes:
         m = DensityModel([[0.0, 0.0]], 1.0)
         with pytest.raises(ValueError):
             find_modes(m, mesh=[[0.0]])
+
+
+class TestAcceleration:
+    """find_modes' extrapolated climb against plain mean shift (oracles.plain_mean_shift)."""
+
+    @staticmethod
+    def two_clusters(d):
+        # clusters far apart for their bandwidth: no start lies near a basin boundary,
+        # where the two iterations can end at different modes
+        if d == 1:
+            rng = np.random.default_rng(31)
+            return np.concatenate([rng.normal(-3.0, 1.0, 150), rng.normal(2.0, 0.7, 150)]), 0.6
+        if d == 2:
+            rng = np.random.default_rng(37)
+            return np.concatenate([rng.normal([-2.0, 0.0], 0.8, (150, 2)),
+                                   rng.normal([2.0, 1.0], 0.8, (150, 2))]), 0.6
+        rng = np.random.default_rng(41)
+        data = np.concatenate([rng.normal(-3.0, 1.0, (200, d)), rng.normal(3.0, 1.0, (200, d))])
+        return data, 1.5
+
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_same_modes_as_plain_mean_shift(self, d):
+        data, h = self.two_clusters(d)
+        m = DensityModel(data, h)
+        plain, plain_asg = plain_mean_shift(m)
+        assert plain_asg.diagnostics["n_unconverged"] == 0
+        cands, asg = find_modes(m)
+        assert len(cands) == len(plain)
+        assert [c.basin_size for c in cands] == [c.basin_size for c in plain]
+        for c, p in zip(cands, plain):
+            assert np.linalg.norm(c.location - p.location) <= 5 * modes.STEP_TOL * h
+        assert asg.diagnostics["min_ascent_delta"] >= -1e-12
+        assert asg.diagnostics["n_unconverged"] == 0
+
+    def test_slow_basins_converge_to_maxima(self):
+        # scan_2d's smallest bandwidth: plain mean shift leaves 8 trajectories
+        # unconverged at 500 sweeps on this input
+        X, grid = scan_2d_input(seed=0)
+        m = DensityModel(X, grid[0])
+        cands, asg = find_modes(m)
+        assert asg.diagnostics["n_unconverged"] == 0
+        assert asg.diagnostics["n_rejected"] > 0  # the safeguard acts on this input
+        assert asg.diagnostics["min_ascent_delta"] >= -1e-12
+        for c in cands:
+            assert np.max(np.linalg.eigvalsh(m.hessian(c.location))) < 0.0, c.location
+
+    def test_scan_takes_at_most_half_the_plain_work(self):
+        # a count, not a time: the mean-shift rows evaluated over scan_2d's 30
+        # bandwidths, against plain mean shift's on the same models
+        X, grid = scan_2d_input(seed=0)
+        fast = plain = 0
+        for h in grid:
+            m = RowCounting(X, h)
+            find_modes(m)
+            fast += m.rows
+            m.rows = 0
+            plain_mean_shift(m)
+            plain += m.rows
+        assert fast <= 0.5 * plain, (fast, plain)
