@@ -7,10 +7,12 @@ bandwidth ``h`` (isotropic Gaussian kernel, covariance ``h**2 * I``):
 
 Because the kernel is Gaussian, gradient and Hessian are available in
 closed form from the exponential weights.  The sample is kept as given for
-direct differences (grid factors, Hessian terms) and as one (d + 2, n) operand,
-rows (X - c)^T, 1 and ||X - c||^2 / 2h^2 about its mean c: density, gradient
-and mean shift take a block's exponent as one product with it and its sums as
-one contraction, all about c, so they stay accurate far from the origin.
+direct differences (grid factors, Hessian terms) and as one (d + 2, N) operand,
+rows (X - c)^T, 1 and ||X - c||^2 / 2h^2 about its mean c, with each cell
+(below) padded to a multiple of 8 columns by dummy points of weight exactly 0:
+density, gradient and mean shift take a block's exponent as one product with
+it and its sums as one contraction, all about c, so they stay accurate far
+from the origin.
 Kernel weights below the smallest normal float, exponents under
 log(tiny) ~ -708.4 (queries about 37.6 h from a sample point), are flushed
 to exact 0 rather than computed on np.exp's slow subnormal path, in query
@@ -34,8 +36,17 @@ in which the cells were split.  The decision depends on the row alone.
 With R = max_i ||X_i - c|| + ||q - c||, the skipped
 weights move the density by at most 2^-53 of itself, the gradient by at
 most 2^-53 p(q) R / h^2 and the mean-shift target by about 2^-53 R.  A model
-of one cell (n <= _CELL_POINTS) evaluates every point, with the bits it had
-before cells existed.  Grids and Hessian terms always take every point.
+of one cell (n <= _CELL_POINTS) evaluates every point.  Grids and Hessian
+terms always take every point.
+Results have the same bits at any BLAS thread count on OpenBLAS 0.3.31, by
+two behaviours of that library checked by experiment (tests/test_threads.py),
+not guaranteed by the arithmetic: its ddot, which every sum over the sample
+takes in chunks of at most 8,192 columns (sample_sum), runs on one thread,
+and its GEMM splits the exponent's product the same way at any thread count
+when the product is a multiple of 8 columns wide, as every run of cells is.
+Should either fail, np.einsum("md,dn->mn") for the exponent and
+np.einsum("mn,kn->mk") for the sums, numpy's own fixed-order loops, are the
+slower fallback.
 """
 
 from __future__ import annotations
@@ -48,6 +59,11 @@ __all__ = ["DensityModel", "as_points"]
 
 _BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
 _CELL_POINTS = 512  # sample points per cell at most (_split_cells); one cell takes no bound work
+# columns of _aug per cell are a multiple of _PAD: OpenBLAS 0.3.31 gives a (m, K) @ (K, w)
+# product the same bits at any thread count when w is a multiple of 8 (found by experiment)
+_PAD = 8
+_DUMMY_HALF_SQ = 1e6  # a padding column's last row of _aug: its exponent is -1e6, its weight 0
+_SUM_CHUNK = 8192  # sample columns per ddot in sample_sum; OpenBLAS threads ddot from ~10,000
 _PRUNE_LOG = 53.0 * float(np.log(2.0))  # a row drops at most 2^-53 of its weight mass
 # relative margin on the cell bounds' distances and exponents that covers their rounding,
 # about (d + 4) eps relative, for any d below 1e9 (_kept_cells)
@@ -153,13 +169,20 @@ def sample_sum(w: np.ndarray, xt: np.ndarray) -> np.ndarray:
     """sum_i w[j, i] * xt[k, i] as an (m, k) matrix, for w (m, n) and xt (k, n).
 
     Every reduction over the n sample points but the mean c and the band's
-    exact product (persist._exact_deviations) goes through here.  np.einsum
-    without ``optimize`` runs numpy's own single-threaded loops and never calls
-    BLAS, whose multi-threaded GEMM splits such sums in an order that depends
-    on the thread count; so the result has the same bits at any BLAS thread
-    count.  Both operands should be C-contiguous along n.
+    exact product (persist._exact_deviations) goes through here.  Each
+    (j, k) entry is one np.vecdot, a BLAS ddot, per chunk of at most
+    _SUM_CHUNK columns, and the chunks' results are added in column order,
+    so its summation order depends only on n.  OpenBLAS 0.3.31 runs ddot on
+    one thread below about 10,000 columns, so the result has the same bits
+    at any BLAS thread count; that rests on the library's behaviour, checked
+    by experiment (tests/test_threads.py), not on the arithmetic.  Should it
+    ever fail, np.einsum("mn,kn->mk", w, xt), numpy's own fixed-order loop,
+    is the slower fallback.  Both operands should be C-contiguous along n.
     """
-    return np.einsum("mn,kn->mk", w, xt)
+    out = np.vecdot(w[:, None, :_SUM_CHUNK], xt[None, :, :_SUM_CHUNK])
+    for lo in range(_SUM_CHUNK, w.shape[1], _SUM_CHUNK):
+        out += np.vecdot(w[:, None, lo:lo + _SUM_CHUNK], xt[None, :, lo:lo + _SUM_CHUNK])
+    return out
 
 
 # --- model ------------------------------------------------------------------
@@ -180,23 +203,27 @@ class DensityModel:
     The model keeps a private read-only copy of the sample and never changes
     after construction, so evaluations are safe to call concurrently.
     ``points``, as given, serves the direct differences (grid factors, Hessian
-    terms); the C-ordered (d + 2, n) operand _aug, rows (X - c)^T, 1 and
+    terms); the C-ordered (d + 2, N) operand _aug, rows (X - c)^T, 1 and
     ||X - c||^2 / 2h^2 about the sample mean c with the points cell after cell
     (_split_cells), serves the exponent and every sum over the sample, so
-    sums and gradients are taken about c, with the same bits at any BLAS
-    thread count (sample_sum).
+    sums and gradients are taken about c.  Each cell takes a multiple of
+    _PAD = 8 columns of _aug, its points and then dummy points (coordinates
+    0, unit row 0, last row _DUMMY_HALF_SQ) whose weight is exactly 0, so
+    _aug has N >= n columns and adds nothing to any sum.
     For density, gradient and mean shift the kernel exponent's contraction
-    over the d + 2 rows of _aug is a BLAS product: a query row's last bits can
-    depend on the rows evaluated with it and, for some block shapes, on the
-    thread count.  Grid evaluations take no such product: their weights come
-    from per-axis factors of direct differences (_grid_tiles).
+    over the d + 2 rows of _aug is a BLAS GEMM over a run of cells, so over a
+    multiple of 8 columns: a query row's last bits can depend on the rows
+    evaluated with it, but on OpenBLAS 0.3.31 not on the thread count; sums
+    over the sample are BLAS ddots in chunks (sample_sum).  The module
+    docstring says what that thread invariance rests on.  Grid evaluations
+    take no exponent product: their weights come from per-axis factors of
+    direct differences (_grid_tiles).
     Those three evaluations also skip the cells whose weight a row's bounds
     certify below 2^-53 of its sum_i w_i (_kept_cells), taking rows that keep
     the same run of cells together over that run's columns of _aug, a view;
     rows that keep every cell take the whole sample through _exp_weights.  A
-    model of one cell (n <= _CELL_POINTS) does no bound work and keeps the
-    bits it had without cells.  Which cells a row keeps depends on the row
-    alone, not on its batch or the thread count.
+    model of one cell (n <= _CELL_POINTS) does no bound work.  Which cells a
+    row keeps depends on the row alone, not on its batch or the thread count.
     """
 
     def __init__(self, points, h: float):
@@ -207,7 +234,7 @@ class DensityModel:
         # _aug takes the sample cell after cell, cell C in columns _cell_start[C] on, so the
         # cells a query row keeps are one run of columns; points keeps the sample order.
         # Split first, so that its temporaries are freed before any array the model keeps.
-        order, self._cell_start = _split_cells(pts)
+        order, starts = _split_cells(pts)
         # A private C-ordered copy: the caller's array stays writable, and
         # summation orders (hence bits) do not depend on its memory layout.
         self.points = pts = pts.copy()
@@ -217,26 +244,35 @@ class DensityModel:
         # (2*pi)**(-d/2) / (n * h**d): the shared normalizing constant.
         self._norm = (2.0 * np.pi) ** (-0.5 * self.d) / (self.n * h**self.d)
         # Exponent and sums are taken about the sample mean c, so cancellation error does not grow
-        # with the data's distance from the origin; vstack gives F order, sample_sum wants C order.
+        # with the data's distance from the origin.
         self._center = np.mean(pts, axis=0)
         centered = pts[order]
         centered -= self._center
-        self._aug = np.ascontiguousarray(np.vstack(
-            [centered.T, np.ones(self.n), np.sum(centered**2, axis=1) / (2.0 * h**2)]))
-        self._reach = float(np.sqrt(np.max(self._aug[-1])))  # max ||X - c|| / (sqrt(2) h)
+        half_sq = np.sum(centered**2, axis=1) / (2.0 * h**2)
+        # Each cell takes a multiple of _PAD columns of _aug: its points, then dummies.
+        counts = np.diff(starts)
+        self._cell_start = np.concatenate([[0], np.cumsum(-(-counts // _PAD) * _PAD)])
+        columns = np.arange(self.n) + np.repeat(self._cell_start[:-1] - starts[:-1], counts)
+        self._aug = np.zeros((self.d + 2, self._cell_start[-1]))
+        self._aug[-1] = _DUMMY_HALF_SQ
+        self._aug[:self.d, columns] = centered.T
+        self._aug[self.d, columns] = 1.0
+        self._aug[-1, columns] = half_sq
+        self._reach = float(np.sqrt(np.max(half_sq)))  # max ||X - c|| / (sqrt(2) h)
         # Per cell, about c: a ball center (its mean), a radius inflated by _BOUND_SLACK
-        # and the log of its count.
-        cells = [centered[lo:hi] for lo, hi in zip(self._cell_start[:-1], self._cell_start[1:])]
+        # and the log of its count, all from its points alone.
+        cells = [centered[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
         self._cell_center = np.array([np.mean(x, axis=0) for x in cells])
         self._cell_radius = (1.0 + _BOUND_SLACK) * np.array(
             [np.sqrt(np.max(np.sum((x - c) ** 2, axis=1)))
              for x, c in zip(cells, self._cell_center)])
-        self._cell_log_n = np.log(np.diff(self._cell_start))
+        self._cell_log_n = np.log(counts)
 
     # -- kernel weights shared by every evaluation --
 
     def _exp_weights(self, q: np.ndarray) -> np.ndarray:
-        """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, n) matrix, X_i in the column order of _aug."""
+        """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, N) matrix, X_i in the column order of
+        _aug; its padding columns weigh exactly 0."""
         return self._kernel_weights(q, self._aug)
 
     def _kernel_weights(self, q: np.ndarray, aug: np.ndarray) -> np.ndarray:
@@ -245,6 +281,7 @@ class DensityModel:
         # Exponent via the expansion (q.x - ||q||^2/2 - ||x||^2/2) / h^2 of the
         # centered q = q_j - c and x = X_i - c, as one product with aug whose last two
         # terms, -||q||^2/2h^2 times 1 and -1 times ||x||^2/2h^2, are exact, like subtractions.
+        # A padding column's exponent is exactly -_DUMMY_HALF_SQ, so its weight exactly 0.
         # The matmul contracts over the d + 2 rows only; sums go through sample_sum.
         q = q - self._center
         half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)

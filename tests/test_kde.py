@@ -1,5 +1,6 @@
 """Density, gradient, and Hessian checks against closed forms and finite differences."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -237,6 +238,36 @@ def test_gradient_accurate_far_from_origin(d):
     assert err <= 1e-13
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_sample_sum_accurate_and_chunk_ordered():
+    # weights in [0, 1) against signed rows, which cancel, and a row of ones;
+    # widths around the 8,192-column chunk boundary and past the width from
+    # which OpenBLAS threads ddot
+    rng = np.random.default_rng(33)
+    chunk = 8192
+    for n in (1, 300, chunk, chunk + 1, 2 * chunk + 1, 24_000):
+        w = rng.random((5, n))
+        xt = np.vstack([rng.standard_normal((2, n)), np.ones(n)])
+        s = kde.sample_sum(w, xt)
+        L = np.longdouble
+        ref = np.sum(w.astype(L)[:, None, :] * xt.astype(L), axis=2)
+        assert np.all(np.abs(s - ref) <= 1e-14 * (np.abs(w) @ np.abs(xt).T)), n
+        # the chunks' ddot results, added in column order
+        parts = [np.vecdot(w[:, None, lo:lo + chunk], xt[None, :, lo:lo + chunk])
+                 for lo in range(0, n, chunk)]
+        assert len(parts) == -(-n // chunk)
+        assert s.tobytes() == functools.reduce(np.add, parts).tobytes(), n
+
+
+def sample_weights(model, q):
+    """model._exp_weights(q) on the sample points alone, in the column order of
+    _aug; its padding columns, those with a 0 in the unit row, weigh exactly 0."""
+    w, real = model._exp_weights(q), model._aug[model.d] == 1.0
+    assert real.sum() == model.n and np.all(w[:, ~real] == 0.0)
+    return w[:, real]
+
+
 def test_sub_tiny_weights_flush_to_exact_zero():
     # Lattice sample and queries with h = 1/2: every exponent -2 ||q - X_i||^2
     # is a multiple of 1/32, so the kernel's expansion about the (zero) mean
@@ -252,7 +283,7 @@ def test_sub_tiny_weights_flush_to_exact_zero():
     assert np.any(~sub) and np.any(sub & (exponent > -745.0)) and np.any(exponent < -746.0)
     # the whole block needs the flush; its first 16 rows (under 34 h out) do not
     for rows in (slice(None), slice(0, 16)):
-        w = m._exp_weights(q[rows])
+        w = sample_weights(m, q[rows])
         assert np.all(w[sub[rows]] == 0.0)
         assert np.array_equal(w[~sub[rows]], np.exp(np.minimum(exponent[rows][~sub[rows]], 0.0)))
         assert not np.any((w > 0.0) & (w < tiny))
@@ -264,7 +295,7 @@ def test_sub_tiny_weights_flush_to_exact_zero():
     u = rng.normal(size=(400, 3))
     q = pts.mean(axis=0) + u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(9.0, 15.0, (400, 1))
     exponent = -np.sum((q[:, None, :] - pts) ** 2, axis=2) / (2.0 * 0.3**2)
-    w = m._exp_weights(q)
+    w = sample_weights(m, q)
     assert not np.any((w > 0.0) & (w < tiny))
     margin = 1e-9 * abs(np.log(tiny))  # the expansion and direct differences differ in low bits
     assert np.all(w[exponent < np.log(tiny) - margin] == 0.0)

@@ -1,13 +1,14 @@
-"""Kernel-level thread invariance: reductions over the sample, the
-persistence grid built from them, and the cells each query keeps give the
-same bits at 1 and 2 BLAS threads.
+"""Thread invariance: reductions over the sample, the persistence grid built
+from them and the cells each query keeps give the same bits at 1 and 2 BLAS
+threads, and whole mode-test reports the same bytes at 1, 2 and 4.
 
 Each product runs in a fresh interpreter with its thread variables pinned,
 since BLAS reads them once at load.  The shapes are ones at which a BLAS
 GEMM over the sample axis was seen to change with the thread count
 (OpenBLAS 0.3.31 on 2 cores), including resample shapes that the
-criterion-7 report never reaches, plus the block shapes that the kernel
-budget `kde._BLOCK_ENTRIES` produces at those sample sizes.
+criterion-7 report never reaches, the block shapes that the kernel
+budget `kde._BLOCK_ENTRIES` produces at those sample sizes, and sums over
+24,000 columns, past the width from which OpenBLAS threads a dot product.
 """
 
 import json
@@ -32,12 +33,12 @@ def digest(a):
 rng = np.random.default_rng(0)
 out = {}
 # w @ [X - c, 1]: mean-shift step and stage-2 gradient
-for m, n, d in [(700, 1000, 2), (2048, 5000, 10), (_BLOCK_ENTRIES // 5000, 5000, 10)]:
+for m, n, d in [(700, 1000, 2), (2048, 5000, 10), (_BLOCK_ENTRIES // 5000, 5000, 10), (64, 24000, 10)]:
     model = DensityModel(rng.standard_normal((n, d)), 1.0)
     w = model._exp_weights(rng.standard_normal((m, d)))
     out[f"weights_x_points_{m}x{n}x{d}"] = digest(sample_sum(w, model._aug[:d + 1]))
 # counts @ terms: bootstrap Hessians at a fixed point
-for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1)]:
+for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1), (100, 24000, 2)]:
     terms = DensityModel(rng.standard_normal((n, d)), 1.0)._hessian_terms(np.zeros(d))
     counts = _resample_counts(n, B, 0)
     out[f"counts_x_terms_{B}x{n}x{d}"] = digest(sample_sum(counts, terms))
@@ -45,7 +46,8 @@ for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1)]:
 centers = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]])
 pts = centers[rng.integers(0, 3, 2000)] + 0.5 * rng.standard_normal((2000, 3))
 for g in [4096, _BLOCK_ENTRIES // 2000]:
-    w = DensityModel(pts, 0.8)._exp_weights(rng.uniform(-4.0, 4.0, size=(g, 3)))
+    model = DensityModel(pts, 0.8)
+    w = model._exp_weights(rng.uniform(-4.0, 4.0, size=(g, 3)))[:, model._aug[3] == 1.0]  # no padding
     w *= 2.0 ** (53 - (2 * 2000 - 1).bit_length())
     dev = _exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w, np.empty(200 * g))
     out[f"band_200x2000x{g}"] = digest(dev)
@@ -79,6 +81,26 @@ print(json.dumps(out))
 """
 
 
+# run_mode_test's report on two inputs whose bytes differed between 1 and 2
+# threads while the kernel exponent's BLAS product took widths that are not
+# multiples of 8: three unit-noise clusters about means drawn at scale 3
+REPORTS = r"""
+import dataclasses, hashlib, json
+import numpy as np
+from modesig import ModeTestConfig, build_document, dumps_json, run_mode_test
+
+out = {}
+for d, n, seed in [(10, 600, 1), (3, 1000, 0)]:
+    rng = np.random.default_rng([d, n, seed])
+    means = rng.normal(scale=3.0, size=(3, d))
+    x = means[rng.integers(0, 3, n)] + rng.standard_normal((n, d))
+    cfg = ModeTestConfig(h=1.0 if d == 10 else 0.8, B=100)
+    text = dumps_json(build_document(dataclasses.asdict(cfg), run_mode_test(x, cfg)))
+    out[f"report_{d}_{n}_{seed}"] = hashlib.sha256(text.encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
 def digests(script: str, threads: str) -> dict:
     env = dict(
         os.environ,
@@ -94,11 +116,12 @@ def digests(script: str, threads: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def assert_thread_invariant(script: str):
-    one, two = digests(script, "1"), digests(script, "2")
-    assert one.keys() == two.keys()
-    differ = sorted(k for k in one if one[k] != two[k])
-    assert not differ, f"products that change with the thread count: {differ}"
+def assert_thread_invariant(script: str, threads=("1", "2")):
+    one, *others = [digests(script, t) for t in threads]
+    for t, other in zip(threads[1:], others):
+        assert one.keys() == other.keys()
+        differ = sorted(k for k in one if one[k] != other[k])
+        assert not differ, f"results that change from 1 to {t} threads: {differ}"
 
 
 def test_sample_reductions_identical_at_1_and_2_threads():
@@ -107,3 +130,7 @@ def test_sample_reductions_identical_at_1_and_2_threads():
 
 def test_density_grid_identical_at_1_and_2_threads():
     assert_thread_invariant(GRIDS)
+
+
+def test_mode_test_reports_identical_at_1_2_and_4_threads():
+    assert_thread_invariant(REPORTS, ("1", "2", "4"))
