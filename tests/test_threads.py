@@ -47,7 +47,8 @@ centers = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]])
 pts = centers[rng.integers(0, 3, 2000)] + 0.5 * rng.standard_normal((2000, 3))
 for g in [4096, _BLOCK_ENTRIES // 2000]:
     model = DensityModel(pts, 0.8)
-    w = model._exp_weights(rng.uniform(-4.0, 4.0, size=(g, 3)))[:, model._aug[3] == 1.0]  # no padding
+    real = model._aug[3] == 1.0  # the sample's columns; padding has 0 in the unit row
+    w = model._exp_weights(rng.uniform(-4.0, 4.0, size=(g, 3)))[:, real]
     w *= 2.0 ** (53 - (2 * 2000 - 1).bit_length())
     dev = _exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w, np.empty(200 * g))
     out[f"band_200x2000x{g}"] = digest(dev)
