@@ -170,7 +170,8 @@ def _cmd_bandwidth(args) -> int:
     config = {
         "command": "bandwidth", **source,
         "alpha": args.alpha, "B": args.B, "seed": args.seed,
-        "grid_min": float(grid[0]), "grid_max": float(grid[-1]), "grid_count": int(grid.size),
+        "grid_min": float(result.grid[0]), "grid_max": float(result.grid[-1]),
+        "grid_count": int(result.grid.size),
         "emit_plots": not args.no_plots,
     }
     emit_report(args.out, config=config, report=best, scan=result, emit_plots=not args.no_plots)

@@ -6,47 +6,16 @@ bandwidth ``h`` (isotropic Gaussian kernel, covariance ``h**2 * I``):
     p(x) = (1/n) * sum_i (2*pi)**(-d/2) * h**(-d) * exp(-||x - X_i||**2 / (2 h**2))
 
 Because the kernel is Gaussian, gradient and Hessian are available in
-closed form from the exponential weights.  The sample is kept as given for
-direct differences (grid factors, Hessian terms) and as one (d + 2, N) operand,
-rows (X - c)^T, 1 and ||X - c||^2 / 2h^2 about its mean c, with each cell
-(below) padded to a multiple of 8 columns by dummy points of weight exactly 0:
-density, gradient and mean shift take a block's exponent as one product with
-it and its sums as one contraction, all about c, so they stay accurate far
-from the origin.
-Kernel weights below the smallest normal float, exponents under
-log(tiny) ~ -708.4 (queries about 37.6 h from a sample point), are flushed
-to exact 0 rather than computed on np.exp's slow subnormal path, in query
-blocks and in the Hessian terms at a point alike.  A block or point takes
-that flush only when the triangle inequality,
-||q - X_i|| <= ||q - c|| + max_i ||X_i - c||, leaves room for such an
-exponent, with a margin that covers its rounding; all other weights keep
-their bits.
-On an axis-aligned product grid the kernel factors over the axes,
-exp(-||g - X_i||^2 / 2h^2) = prod_j exp(-(g_j - X_ij)^2 / 2h^2), so grids
-are evaluated in bounded tiles from per-axis factors: a tile of
-t_1 x ... x t_d points costs (t_1 + ... + t_d) * n exponentials, not
-(t_1 * ... * t_d) * n.
-For density, gradient and mean shift the sample is split once into cells of
-at most _CELL_POINTS points, by median splits along the widest axis, each
-held as a ball (center, radius) and a count.  A query row skips the cells
-whose summed weight is certified, by bounds from the row's distance to the
-cell's ball, to lie below 2^-53 of the row's sum_i w_i: it takes one run of
-consecutive cells, from the first to the last it cannot skip, in the order
-in which the cells were split.  The decision depends on the row alone.
-With R = max_i ||X_i - c|| + ||q - c||, the skipped
-weights move the density by at most 2^-53 of itself, the gradient by at
-most 2^-53 p(q) R / h^2 and the mean-shift target by about 2^-53 R.  A model
-of one cell (n <= _CELL_POINTS) evaluates every point.  Grids and Hessian
-terms always take every point.
-Results have the same bits at any BLAS thread count on OpenBLAS 0.3.31, by
-two behaviours of that library checked by experiment (tests/test_threads.py),
-not guaranteed by the arithmetic: its ddot, which every sum over the sample
-takes in chunks of at most 8,192 columns (sample_sum), runs on one thread,
-and its GEMM splits the exponent's product the same way at any thread count
-when the product is a multiple of 8 columns wide, as every run of cells is.
-Should either fail, np.einsum("md,dn->mn") for the exponent and
-np.einsum("mn,kn->mk") for the sums, numpy's own fixed-order loops, are the
-slower fallback.
+closed form from the exponential weights.  Each kernel mechanism is stated
+once, by the code that enforces it:
+
+- the sample as one padded operand about its mean: DensityModel.__init__
+- the query exponent as one product with that operand: _kernel_weights
+- sub-tiny weights flushed to exact 0: _exp_flushed
+- cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
+- BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM)
+- grids from per-axis factors, in bounded tiles: _grid_tiles
+- the persistence band's exact product: persist._exact_deviations
 """
 
 from __future__ import annotations
@@ -59,8 +28,10 @@ __all__ = ["DensityModel", "as_points"]
 
 _BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
 _CELL_POINTS = 512  # sample points per cell at most (_split_cells); one cell takes no bound work
-# columns of _aug per cell are a multiple of _PAD: OpenBLAS 0.3.31 gives a (m, K) @ (K, w)
-# product the same bits at any thread count when w is a multiple of 8 (found by experiment)
+# Columns of _aug per cell are a multiple of _PAD, so every exponent product is a multiple of
+# 8 columns wide; OpenBLAS 0.3.31 splits such a GEMM the same way at any thread count (at other
+# widths it did not; checked by experiment, tests/test_threads.py).  Should that fail, numpy's
+# fixed-order np.einsum("md,dn->mn") is the slower fallback.  A row's bits can depend on its batch.
 _PAD = 8
 _DUMMY_HALF_SQ = 1e6  # a padding column's last row of _aug: its exponent is -1e6, its weight 0
 _SUM_CHUNK = 8192  # sample columns per ddot in sample_sum; OpenBLAS threads ddot from ~10,000
@@ -168,9 +139,7 @@ def _tile_weights(factors: list, out: np.ndarray | None = None) -> np.ndarray:
 def sample_sum(w: np.ndarray, xt: np.ndarray) -> np.ndarray:
     """sum_i w[j, i] * xt[k, i] as an (m, k) matrix, for w (m, n) and xt (k, n).
 
-    Every reduction over the n sample points but the mean c and the band's
-    exact product (persist._exact_deviations) goes through here.  Each
-    (j, k) entry is one np.vecdot, a BLAS ddot, per chunk of at most
+    Each (j, k) entry is one np.vecdot, a BLAS ddot, per chunk of at most
     _SUM_CHUNK columns, and the chunks' results are added in column order,
     so its summation order depends only on n.  OpenBLAS 0.3.31 runs ddot on
     one thread below about 10,000 columns, so the result has the same bits
@@ -201,29 +170,9 @@ class DensityModel:
     Notes
     -----
     The model keeps a private read-only copy of the sample and never changes
-    after construction, so evaluations are safe to call concurrently.
-    ``points``, as given, serves the direct differences (grid factors, Hessian
-    terms); the C-ordered (d + 2, N) operand _aug, rows (X - c)^T, 1 and
-    ||X - c||^2 / 2h^2 about the sample mean c with the points cell after cell
-    (_split_cells), serves the exponent and every sum over the sample, so
-    sums and gradients are taken about c.  Each cell takes a multiple of
-    _PAD = 8 columns of _aug, its points and then dummy points (coordinates
-    0, unit row 0, last row _DUMMY_HALF_SQ) whose weight is exactly 0, so
-    _aug has N >= n columns and adds nothing to any sum.
-    For density, gradient and mean shift the kernel exponent's contraction
-    over the d + 2 rows of _aug is a BLAS GEMM over a run of cells, so over a
-    multiple of 8 columns: a query row's last bits can depend on the rows
-    evaluated with it, but on OpenBLAS 0.3.31 not on the thread count; sums
-    over the sample are BLAS ddots in chunks (sample_sum).  The module
-    docstring says what that thread invariance rests on.  Grid evaluations
-    take no exponent product: their weights come from per-axis factors of
-    direct differences (_grid_tiles).
-    Those three evaluations also skip the cells whose weight a row's bounds
-    certify below 2^-53 of its sum_i w_i (_kept_cells), taking rows that keep
-    the same run of cells together over that run's columns of _aug, a view;
-    rows that keep every cell take the whole sample through _exp_weights.  A
-    model of one cell (n <= _CELL_POINTS) does no bound work.  Which cells a
-    row keeps depends on the row alone, not on its batch or the thread count.
+    after construction: evaluations are safe to call concurrently and do not
+    depend on the caller's memory layout.  The module docstring maps each
+    kernel mechanism to the code that states it.
     """
 
     def __init__(self, points, h: float):
@@ -231,6 +180,15 @@ class DensityModel:
         h = float(h)
         if not (h > 0.0 and np.isfinite(h)):
             raise ValueError(f"bandwidth must be positive and finite, got {h}")
+        n, d = pts.shape
+        try:  # h^2, (2*pi)**(-d/2) / (n * h**d) and the Hessians' / (n * h**(d+2))
+            scales = (h**2, (2.0 * np.pi) ** (-0.5 * d) / (n * h**d),
+                      (2.0 * np.pi) ** (-0.5 * d) / (n * h ** (d + 2)))
+        except (OverflowError, ZeroDivisionError):  # a power of h out of range
+            scales = (0.0,)
+        if not all(np.finfo(np.float64).tiny <= s < np.inf for s in scales):
+            raise ValueError(f"bandwidth {h} is out of range for {n} points in {d} dimensions: "
+                             "h^2, 1 / (n h^d) or 1 / (n h^(d+2)) is not a finite normal float")
         # _aug takes the sample cell after cell, cell C in columns _cell_start[C] on, so the
         # cells a query row keeps are one run of columns; points keeps the sample order.
         # Split first, so that its temporaries are freed before any array the model keeps.
@@ -239,17 +197,21 @@ class DensityModel:
         # summation orders (hence bits) do not depend on its memory layout.
         self.points = pts = pts.copy()
         self.points.setflags(write=False)
-        self.n, self.d = pts.shape
-        self.h = h
-        # (2*pi)**(-d/2) / (n * h**d): the shared normalizing constant.
-        self._norm = (2.0 * np.pi) ** (-0.5 * self.d) / (self.n * h**self.d)
-        # Exponent and sums are taken about the sample mean c, so cancellation error does not grow
-        # with the data's distance from the origin.
-        self._center = np.mean(pts, axis=0)
-        centered = pts[order]
-        centered -= self._center
-        half_sq = np.sum(centered**2, axis=1) / (2.0 * h**2)
-        # Each cell takes a multiple of _PAD columns of _aug: its points, then dummies.
+        self.n, self.d, self.h = n, d, h
+        self._norm, self._hessian_scale = scales[1:]
+        # _aug's rows are (X - c)^T, 1 and ||X - c||^2 / 2h^2 about the sample mean c, so that
+        # cancellation error does not grow with the data's distance from the origin.
+        with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+            self._center = np.mean(pts, axis=0)
+            centered = pts[order]
+            centered -= self._center
+            half_sq = np.sum(centered**2, axis=1) / (2.0 * h**2)
+        self._reach = float(np.sqrt(np.max(half_sq)))  # max ||X - c|| / (sqrt(2) h)
+        if not np.isfinite(self._reach):
+            raise ValueError(f"bandwidth {h} is out of range for this sample: "
+                             "max ||X - c||^2 / 2h^2 overflows about its mean c")
+        # Each cell takes a multiple of _PAD columns of _aug: its points, then dummies
+        # (coordinates 0, unit row 0, last row _DUMMY_HALF_SQ) whose weights are exactly 0.
         counts = np.diff(starts)
         self._cell_start = np.concatenate([[0], np.cumsum(-(-counts // _PAD) * _PAD)])
         columns = np.arange(self.n) + np.repeat(self._cell_start[:-1] - starts[:-1], counts)
@@ -258,7 +220,6 @@ class DensityModel:
         self._aug[:self.d, columns] = centered.T
         self._aug[self.d, columns] = 1.0
         self._aug[-1, columns] = half_sq
-        self._reach = float(np.sqrt(np.max(half_sq)))  # max ||X - c|| / (sqrt(2) h)
         # Per cell, about c: a ball center (its mean), a radius inflated by _BOUND_SLACK
         # and the log of its count, all from its points alone.
         cells = [centered[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
@@ -271,8 +232,7 @@ class DensityModel:
     # -- kernel weights shared by every evaluation --
 
     def _exp_weights(self, q: np.ndarray) -> np.ndarray:
-        """exp(-||q_j - X_i||^2 / (2 h^2)) as an (m, N) matrix, X_i in the column order of
-        _aug; its padding columns weigh exactly 0."""
+        """exp(-||q_j - X_i||^2 / (2 h^2)) over every column of _aug, as an (m, N) matrix."""
         return self._kernel_weights(q, self._aug)
 
     def _kernel_weights(self, q: np.ndarray, aug: np.ndarray) -> np.ndarray:
@@ -282,7 +242,6 @@ class DensityModel:
         # centered q = q_j - c and x = X_i - c, as one product with aug whose last two
         # terms, -||q||^2/2h^2 times 1 and -1 times ||x||^2/2h^2, are exact, like subtractions.
         # A padding column's exponent is exactly -_DUMMY_HALF_SQ, so its weight exactly 0.
-        # The matmul contracts over the d + 2 rows only; sums go through sample_sum.
         q = q - self._center
         half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
         w = np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]) @ aug
@@ -313,15 +272,16 @@ class DensityModel:
         """(box, factors) over the tiles of the product grid of `axes`.
 
         box is a tuple of slices into the grid and factors[j] the (t_j, n)
-        kernel factor of axis j over box[j] (_axis_factor); _tile_weights
-        turns them into the tile's kernel weights.  A tile of
-        t_1 x ... x t_d points holds at most
+        kernel factor of axis j over box[j] (_axis_factor).  On a product grid
+        the kernel factors over the axes, exp(-||g - X_i||^2 / 2h^2) =
+        prod_j exp(-(g_j - X_ij)^2 / 2h^2), so _tile_weights builds a tile's
+        weights from (t_1 + ... + t_d) n exponentials, not t_1 ... t_d n.  A
+        tile of t_1 x ... x t_d points holds at most
         _BLOCK_ENTRIES // (max(n, width) + d * n) of them, so its weights (or
-        a (width, tile) product of them) and its factors (sum_j t_j <=
-        d * prod_j t_j rows of n) stay within the budget together.  Tiles
-        take whole runs of the last axes first; the layout depends only on
-        the grid shape, n and width.  The axes are checked here, before any
-        tile is built (_as_axes).
+        a (width, tile) product of them) and its factors stay within the
+        budget together.  Tiles take whole runs of the last axes first; the
+        layout depends only on the grid shape, n and width.  The axes are
+        checked here, before any tile is built (_as_axes).
         """
         axes = _as_axes(axes, self.d)
         tile, left = [], max(1, _BLOCK_ENTRIES // (max(self.n, width) + self.d * self.n))
@@ -342,11 +302,14 @@ class DensityModel:
         cell can be dropped when its upper bound is below 2^-53 / cells of
         the largest lower bound, so a row drops at most 2^-53 of its
         sum_i w_i; the row keeps the run of cells from the first to the last
-        it cannot drop.  Distances and exponents carry a _BOUND_SLACK margin
-        for their rounding.  D comes from direct differences, one coordinate
-        at a time over every cell, in numpy's own elementwise loops: a row's
-        cells depend on the row alone, not on its batch or the BLAS thread
-        count.
+        it cannot drop.  With R = max_i ||X_i - c|| + ||q_j - c||, that moves
+        the density by at most 2^-53 of itself, the gradient by at most
+        2^-53 p(q_j) R / h^2 and the mean-shift target by about 2^-53 R; grids
+        and Hessian terms take every point.  Distances and exponents carry a
+        _BOUND_SLACK margin for their rounding.  D comes from direct
+        differences, one coordinate at a time over every cell, in numpy's own
+        elementwise loops: a row's cells depend on the row alone, not on its
+        batch or the BLAS thread count.
         """
         cells = self._cell_log_n.size
         kept = np.empty((q.shape[0], 2), dtype=np.intp)
@@ -367,46 +330,35 @@ class DensityModel:
             kept[rows, 1] = cells - np.argmax(keep[:, ::-1], axis=1)
         return kept
 
-    def _row_groups(self, q: np.ndarray):
-        """Query rows grouped by the cells they keep, as (order, groups).
+    def _weighted_sums(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
+        """sum_i w_ji xt[k, i] per query row q_j, as (m, k), over the run of cells the
+        row keeps (_kept_cells), in blocks; xt is rows of _aug.
 
-        order permutes q so that each group's rows are consecutive, or is None
-        when q needs no permutation.  groups holds (rows, cols) per group:
-        rows is its slice of q[order], cols the slice of _aug's columns that
-        its rows keep, or None for rows that keep every cell.  A model of one
-        cell takes no bound work: all of q is one group.
+        Rows are sorted stably by their run, and each run's rows, a slice of the
+        sorted copy, take that run's columns of _aug, a view; rows that keep every
+        cell take the whole sample through _exp_weights.  A model of one cell does
+        no bound work and no sort.
         """
         cells = self._cell_log_n.size
-        if cells == 1:
-            return None, [(slice(None), None)]
-        lo, hi = self._kept_cells(q).T
-        key = lo * (cells + 1) + hi
-        order = np.argsort(key, kind="stable")
-        keys, first = np.unique(key[order], return_index=True)
-        groups = []
-        for k, start, stop in zip(keys, first, [*first[1:], q.shape[0]]):
-            lo, hi = divmod(int(k), cells + 1)
-            cols = None if hi - lo == cells else slice(*self._cell_start[[lo, hi]])
-            groups.append((slice(start, stop), cols))
-        return order, groups
-
-    def _weighted_sums(self, q: np.ndarray, xt: np.ndarray) -> np.ndarray:
-        """sum_i w_ji xt[k, i] per query row q_j, as (m, k), over the cells the row
-        keeps (_row_groups), in blocks; xt is rows of _aug."""
-        order, groups = self._row_groups(q)
-        grouped = q if order is None else q[order]
+        order, edges, runs = None, [0, q.shape[0]], [(0, 1)]
+        if cells > 1:
+            lo, hi = self._kept_cells(q).T
+            key = lo * (cells + 1) + hi
+            order = np.argsort(key, kind="stable")
+            keys, first = np.unique(key[order], return_index=True)
+            q, edges = q[order], [*first, q.shape[0]]
+            runs = [divmod(int(k), cells + 1) for k in keys]
         sums = np.empty((q.shape[0], xt.shape[0]))
-        grouped_sums = sums if order is None else np.empty_like(sums)
-        for rows, cols in groups:
-            aug, part = (self._aug, xt) if cols is None else (self._aug[:, cols], xt[:, cols])
-            rows_q, rows_sums = grouped[rows], grouped_sums[rows]
-            for block in _row_blocks(rows_q.shape[0], aug.shape[1]):
-                at = rows_q[block]
-                w = self._exp_weights(at) if cols is None else self._kernel_weights(at, aug)
-                rows_sums[block] = sample_sum(w, part)
+        for start, stop, (lo, hi) in zip(edges, edges[1:], runs):
+            cols, rows = slice(*self._cell_start[[lo, hi]]), slice(start, stop)
+            aug, part = self._aug[:, cols], xt[:, cols]
+            for block in _row_blocks(stop - start, aug.shape[1]):
+                at = q[rows][block]
+                w = self._exp_weights(at) if hi - lo == cells else self._kernel_weights(at, aug)
+                sums[rows][block] = sample_sum(w, part)
                 del w  # free this block before the next is built
-        if order is not None:  # back to the rows' order in q
-            sums[order] = grouped_sums
+        if order is not None:  # back to the rows' order; numpy copies overlapping operands
+            sums[order] = sums
         return sums
 
     def _mean_shift(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,12 +385,8 @@ class DensityModel:
         return g[0] if single else g
 
     def _grid_density(self, axes) -> np.ndarray:
-        """Density on the product grid of `axes`, as an array of the grid's shape.
-
-        Each tile's leading-axes weights are contracted with its last-axis
-        factor over the sample (sample_sum), so the values have the same
-        bits at any BLAS thread count.
-        """
+        """Density on the product grid of `axes`, as an array of the grid's shape: each
+        tile's leading-axes weights contracted with its last-axis factor (sample_sum)."""
         tiles = self._grid_tiles(axes)  # checks the axes
         values = np.empty([len(a) for a in axes])
         for box, factors in tiles:
@@ -468,12 +416,10 @@ class DensityModel:
         e_i = exp(-||u_i||^2 / 2), flushed to 0 below the smallest normal
         float (_exp_flushed).
         """
-        # The exponent comes from the differences u_i directly, not from
-        # _exp_weights' expansion, for accuracy: the expansion cancels terms
-        # of size ||X - c||^2 / h^2 about the sample mean c.  With 200 points
-        # in two clusters 60 h apart, against an np.longdouble reference,
-        # Hessians from its weights were off by up to 4.8e-14 (d = 2) and
-        # 1.5e-13 (d = 10) of the largest entry, and this form's by 3.6e-16
+        # The exponent comes from the differences u_i, not _exp_weights' expansion, which
+        # cancels terms of size ||X - c||^2 / h^2: with 200 points in two clusters 60 h apart,
+        # against an np.longdouble reference, Hessians from its weights were off by up to
+        # 4.8e-14 (d = 2) and 1.5e-13 (d = 10) of the largest entry, this form's by 3.6e-16
         # and 1e-15.
         # u from points as given (a strided transpose, not a contiguous copy)
         # fixes the summation order of ||u_i||^2, on which reported bits depend.
@@ -491,8 +437,7 @@ class DensityModel:
         Unit counts give the model's own Hessian; bootstrap counts give the
         Hessian of each resample.
         """
-        scale = (2.0 * np.pi) ** (-0.5 * self.d) / (self.n * self.h ** (self.d + 2))
-        vech = scale * sample_sum(counts, terms)  # (B, d(d+1)/2)
+        vech = self._hessian_scale * sample_sum(counts, terms)  # (B, d(d+1)/2)
         rows, cols = np.tril_indices(self.d)
         mats = np.zeros((vech.shape[0], self.d, self.d))
         mats[:, rows, cols] = vech

@@ -15,18 +15,8 @@ Chazal et al. 2013): steepest-ascent pointers label every vertex with its
 basin's peak, and an elder-rule union-find runs over the peaks along the
 basin-boundary edges only.
 
-The band's deviations (counts - 1) @ K come from an exact product: kernel
-weights are scaled by 2^F, F set by the sample size n, and rounded to
-integers, so no sum over the sample can round and its order does not
-matter.  The product skips sample points whose weights on a grid tile all
-round to 0.  The band sorts the sample by its first coordinate, which tiles
-cut finest, and bounds each point's weights on a tile by the product of its
-per-axis kernel factor maxima; rounded products are monotone, so a bound of
-at most 1/2 certifies zeros.  Each tile's product runs over the sorted range
-between the first and last point with a larger bound, and exact zeros
-outside it leave the exact sums unchanged.  Deviations stay in the integer
-scale until the replicates' maxima are divided by 2^F once at the end.  So
-the band has the bits of the plain product over every point.
+bootstrap_band states which sample points the band's product skips, and
+_exact_deviations why that product is exact.
 """
 
 from __future__ import annotations
@@ -93,11 +83,10 @@ def default_axes(points, h: float, resolution: int | None = None) -> tuple:
 
 
 def density_grid(model: DensityModel, axes) -> GridFunction:
-    """Evaluate the model exactly on the product grid of `axes`.
+    """Evaluate the model exactly on the product grid of `axes`, in bounded tiles.
 
-    The grid is evaluated in bounded tiles from per-axis kernel factors, with
-    the same bits at any BLAS thread count.  Raises ValueError unless `axes`
-    holds one non-empty, finite 1-d axis per coordinate of the model.
+    Raises ValueError unless `axes` holds one non-empty, finite 1-d axis per
+    coordinate of the model.
     """
     axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
     return GridFunction(axes=axes, values=model._grid_density(axes))
@@ -191,28 +180,27 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     Each replicate resamples the data with replacement and measures
     max over the grid of |p_hat_star - p_hat|; the band is the same
     ceiling order statistic used for the ESP quantile, at level 1 - alpha.
-    Grid evaluation understates the continuum sup-norm slightly.  The grid's
-    kernel weights are built tile by tile from per-axis factors, each tile
-    within the kernel budget for width max(n, B), and the deviations come
-    from an exact product (_exact_deviations), so the band does not depend
-    on the tile layout or the BLAS thread count.
+    Grid evaluation understates the continuum sup-norm slightly.  The
+    deviations come tile by tile, each tile within the kernel budget for
+    width max(n, B), from an exact product (_exact_deviations), so the band
+    does not depend on the tile layout or the BLAS thread count.
 
-    The product skips sample points that cannot matter.  The sample is
-    sorted by its first coordinate, and the counts' columns with it; tiles
-    cut that axis finest.  Each tile's first factor is scaled by 2^F, which
-    gives the scaled weights' bits: a power of two scales exactly, and the
-    products of any weight that can round to nonzero stay normal.  The
-    product of a point's per-axis factor maxima, in the same order, bounds
-    its weights on the tile, since rounded products are monotone; where it is
-    at most 1/2 they all round to 0 (ties go to even).  The exact product runs
-    over the sorted range between the first and last point with a larger bound,
-    and a tile without any is skipped; exact zeros leave the exact sums
-    unchanged.  The deviations stay in the integer scale until each
+    The product skips sample points whose weights on a tile all round to 0.
+    The sample is sorted by its first coordinate, which tiles cut finest,
+    and the counts' columns with it.  Each tile's first factor is scaled by
+    2^F: a power of two scales exactly, and the products of any weight that
+    can round to nonzero stay normal, so they are the scaled weights' bits.
+    The product of a point's per-axis factor maxima, in
+    _tile_weights' order, bounds its scaled weights on the tile, since
+    rounded products are monotone; where it is at most 1/2 they all round
+    to 0 (ties go to even).  So each tile's product runs over the sorted
+    range between the first and last point with a larger bound, a tile
+    without any is skipped, and the exact sums do not change.  Each
     replicate's maximum is divided by 2^F once at the end, which by
     monotone rounding equals dividing each tile's.  So the band has the bits
-    of the plain product over every point.  Before any resampling,
-    raises ValueError for bad alpha or B, and unless `axes` holds one
-    non-empty, finite 1-d axis per coordinate.
+    of the plain product over every point.  Before any resampling, raises
+    ValueError for bad alpha or B, and unless `axes` holds one non-empty,
+    finite 1-d axis per coordinate.
     """
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):

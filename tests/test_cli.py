@@ -157,6 +157,15 @@ class TestTestCommand:
         rc = main(["test", "--family", "gaussian", "--h", "1.0"])
         assert rc == 2
 
+    def test_degenerate_bandwidth_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "pts.csv"
+        data = np.random.default_rng(0).normal(size=(600, 2))
+        csv.write_text("\n".join(",".join(format(v, ".17g") for v in row) for row in data) + "\n")
+        rc = main(["test", "--input", str(csv), "--h", "1e-200", "--B", "20",
+                   "--out", str(tmp_path / "res"), "--no-plots"])
+        assert rc == 2
+        assert "error: bandwidth 1e-200 is out of range" in capsys.readouterr().err
+
     def test_missing_input_file(self, capsys):
         rc = main(["test", "--input", "/nonexistent/pts.csv", "--h", "1.0"])
         assert rc == 2
@@ -208,3 +217,16 @@ class TestBandwidthCommand:
                    "--grid-min", "0.4"])
         assert rc == 2
         assert "together" in capsys.readouterr().err
+
+    def test_reversed_ends_echo_the_scanned_grid(self, tmp_path, spec_file):
+        spec = spec_file({"n": 120, "seed": 6, "means": [[-5.0], [5.0]]})
+        out = tmp_path / "res"
+        rc = main(["bandwidth", "--family", "mixture", "--spec", spec,
+                   "--grid-min", "3", "--grid-max", "0.5", "--grid-count", "3",
+                   "--B", "40", "--out", str(out), "--no-plots"])
+        assert rc == 0
+        doc = json.loads((out / "report.json").read_text())
+        h = doc["scan"]["h"]
+        assert h == sorted(h) and h[0] == 0.5
+        assert (doc["config"]["grid_min"], doc["config"]["grid_max"]) == (h[0], h[-1])
+        assert doc["config"]["grid_count"] == 3

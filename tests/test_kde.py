@@ -169,6 +169,25 @@ class TestModelBasics:
         with pytest.raises(ValueError):
             DensityModel([[0.0]], 1.0).density([np.inf])
 
+    @pytest.mark.parametrize("h, scale", [
+        (1e-200, 1.0),  # h^2 and h^d underflow to 0
+        (1e-160, 1.0),  # h^2 is subnormal
+        (1e-150, 1.0),  # h^(d+2) underflows to 0
+        (1e200, 1.0),  # h^2 overflows
+        (1.0, 1e200),  # ||X - c||^2 / 2h^2 overflows
+    ])
+    def test_degenerate_scales_rejected(self, h, scale):
+        pts = np.random.default_rng(0).normal(size=(600, 2)) * scale
+        with pytest.raises(ValueError, match="out of range"):
+            DensityModel(pts, h)
+
+    def test_extreme_scales_that_stay_normal_are_kept(self):
+        pts = np.random.default_rng(0).normal(size=(600, 2))
+        for h, scale in [(1e-60, 1e-60), (1e60, 1e60)]:
+            m = DensityModel(pts * scale, h)
+            vals = m.density(pts[:3] * scale)
+            assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+
     def test_as_points_promotes_1d(self):
         assert as_points([1.0, 2.0, 3.0]).shape == (3, 1)
 

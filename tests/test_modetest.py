@@ -73,6 +73,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             run_mode_test(np.zeros((3, 1)), ModeTestConfig(h=1.0))
 
+    def test_subnormal_bandwidth_squared_rejected(self):
+        # h^2 = 1e-320 is subnormal: the test once ran and returned k = 0
+        data = np.random.default_rng(0).normal(size=(600, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            run_mode_test(data, ModeTestConfig(h=1e-160, B=20))
+
 
 class TestReportShape:
     def test_unimodal_single_significant(self):
