@@ -11,7 +11,8 @@ once, by the code that enforces it:
 
 - the sample as one padded operand about its mean: DensityModel.__init__
 - the query exponent as one product with that operand: _kernel_weights
-- sub-tiny weights flushed to exact 0: _exp_flushed
+- every kernel exponential, with sub-tiny weights flushed to exact 0: _exp_flushed
+  (query weights, Hessian terms, and the grid and band factors of _axis_factor)
 - cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
 - BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM)
 - grids from per-axis factors, in bounded tiles: _grid_tiles
@@ -112,7 +113,8 @@ def _split_cells(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             starts.append(lo)
             continue
         sub = pts[order[lo:hi]]
-        widest = np.argmax(np.ptp(sub, axis=0))
+        with np.errstate(over="ignore"):  # an infinite spread is widest; DensityModel refuses it
+            widest = np.argmax(np.ptp(sub, axis=0))
         order[lo:hi] = order[lo:hi][np.argsort(sub[:, widest], kind="stable")]
         stack += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
     return order, np.array(starts + [pts.shape[0]])
@@ -242,17 +244,26 @@ class DensityModel:
         # centered q = q_j - c and x = X_i - c, as one product with aug whose last two
         # terms, -||q||^2/2h^2 times 1 and -1 times ||x||^2/2h^2, are exact, like subtractions.
         # A padding column's exponent is exactly -_DUMMY_HALF_SQ, so its weight exactly 0.
-        q = q - self._center
-        half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
+        # There is no clip at 0: cancellation can leave an exponent a few eps * (||q||^2 +
+        # ||x||^2)/2h^2 above 0, and its weight that much above 1.  That is the expansion's own
+        # rounding, which moves every weight near it as much, and no bound needs a weight <= 1.
+        # A row whose ||q||^2 / 2h^2 overflows lies farther from c than every sample point, whose
+        # ||x||^2 / 2h^2 is finite: it becomes q = 0, its exponents -_DUMMY_HALF_SQ or less.
+        with np.errstate(over="ignore"):
+            q = q - self._center
+            half_sq = np.sum(q**2, axis=1) / (2.0 * self.h**2)
+        far = half_sq == np.inf
+        q[far], half_sq[far] = 0.0, _DUMMY_HALF_SQ
         w = np.column_stack([q / self.h**2, -half_sq, -np.ones(q.shape[0])]) @ aug
-        np.minimum(w, 0.0, out=w)  # clip tiny positives from cancellation
         return self._exp_flushed(w, np.max(half_sq, initial=0.0))
 
     def _exp_flushed(self, x: np.ndarray, half_sq: float) -> np.ndarray:
-        """exp(x) in place, for kernel exponents x of queries at most sqrt(2 half_sq) h from c.
+        """exp(x) in place, for kernel exponents x of queries q at most sqrt(2 half_sq) h
+        from c, or of grid coordinates a on axis j at most that far from c_j.
 
-        By the triangle inequality -x <= (sqrt(half_sq) + _reach)^2, so only
-        past _FLUSH_REACH can an exponent fall below _LOG_TINY.  There the
+        By the triangle inequality, ||q - X_i|| <= ||q - c|| + ||X_i - c|| and
+        |a - X_ij| <= |a - c_j| + ||X_i - c||, so -x <= (sqrt(half_sq) + _reach)^2
+        and only past _FLUSH_REACH can an exponent fall below _LOG_TINY.  There the
         sub-tiny weights are flushed to exact 0 (exp(-inf)) instead of taking
         np.exp's subnormal path; every other weight keeps its bits.
         """
@@ -260,13 +271,14 @@ class DensityModel:
             np.copyto(x, -np.inf, where=x < _LOG_TINY)
         return np.exp(x, out=x)
 
-    def _axis_factor(self, j: int, a: np.ndarray) -> np.ndarray:
-        """exp(-((a_r - X_ij) / h)^2 / 2) as a (len(a), n) matrix, from direct differences."""
+    def _axis_factor(self, j: int, a: np.ndarray, half_sq: float) -> np.ndarray:
+        """exp(-((a_r - X_ij) / h)^2 / 2) as a (len(a), n) matrix, from direct differences,
+        for coordinates a_r with (a_r - c_j)^2 / 2h^2 at most half_sq (_exp_flushed)."""
         f = a[:, None] - self.points[:, j]
         f /= self.h
         f *= f
         f *= -0.5
-        return np.exp(f, out=f)
+        return self._exp_flushed(f, half_sq)
 
     def _grid_tiles(self, axes, width: int = 0):
         """(box, factors) over the tiles of the product grid of `axes`.
@@ -289,7 +301,8 @@ class DensityModel:
             tile.insert(0, min(a.size, left))
             left //= tile[0]
         spans = [[slice(lo, lo + t) for lo in range(0, a.size, t)] for a, t in zip(axes, tile)]
-        return ((box, [self._axis_factor(j, a[s]) for j, (a, s) in enumerate(zip(axes, box))])
+        half_sq = [np.max((a - c) ** 2) / (2.0 * self.h**2) for a, c in zip(axes, self._center)]
+        return ((box, [self._axis_factor(j, a[s], half_sq[j]) for j, (a, s) in enumerate(zip(axes, box))])
                 for box in itertools.product(*spans))
 
     def _kept_cells(self, q: np.ndarray) -> np.ndarray:
@@ -314,16 +327,17 @@ class DensityModel:
         cells = self._cell_log_n.size
         kept = np.empty((q.shape[0], 2), dtype=np.intp)
         for rows in _row_blocks(q.shape[0], self.n):
-            block = q[rows] - self._center
-            dist = np.zeros((block.shape[0], cells))
-            for j in range(self.d):
-                diff = block[:, j, None] - self._cell_center[:, j]
-                dist += np.square(diff, out=diff)
-            np.sqrt(dist, out=dist)
-            far = dist * (1.0 + _BOUND_SLACK) + self._cell_radius
-            near = np.maximum(dist * (1.0 - _BOUND_SLACK) - self._cell_radius, 0.0)
-            upper = self._cell_log_n - near**2 / (2.0 * self.h**2)
-            lower = np.max(self._cell_log_n - far**2 / (2.0 * self.h**2), axis=1)
+            with np.errstate(over="ignore"):  # an overflow is a bound of -inf: weight 0
+                block = q[rows] - self._center
+                dist = np.zeros((block.shape[0], cells))
+                for j in range(self.d):
+                    diff = block[:, j, None] - self._cell_center[:, j]
+                    dist += np.square(diff, out=diff)
+                np.sqrt(dist, out=dist)
+                far = dist * (1.0 + _BOUND_SLACK) + self._cell_radius
+                near = np.maximum(dist * (1.0 - _BOUND_SLACK) - self._cell_radius, 0.0)
+                upper = self._cell_log_n - near**2 / (2.0 * self.h**2)
+                lower = np.max(self._cell_log_n - far**2 / (2.0 * self.h**2), axis=1)
             floor = lower - _PRUNE_LOG - np.log(cells) - _BOUND_SLACK * (1.0 + np.abs(lower))
             keep = upper >= floor[:, None]  # true at least where the lower bound is largest
             kept[rows, 0] = np.argmax(keep, axis=1)

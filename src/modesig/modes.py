@@ -282,8 +282,9 @@ def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol
     stray = np.flatnonzero(~converged)
     if k:
         # label by nearest candidate to the last iterate; excluded from basins
-        for rows, d2 in _sq_dist_blocks(endpoint[stray], locations):
-            labels[stray[rows]] = np.argmin(d2, axis=1)
+        with np.errstate(over="ignore"):  # a start too far for a finite distance gets label 0
+            for rows, d2 in _sq_dist_blocks(endpoint[stray], locations):
+                labels[stray[rows]] = np.argmin(d2, axis=1)
 
     assignment = ClusterAssignment(
         labels=labels,

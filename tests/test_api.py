@@ -3,7 +3,8 @@
 The benchmark (bench/) and the demos call into `modesig` from outside the
 package, so a name dropped from the API would only show when they run.
 These checks read their sources and resolve each name they reference.
-A last check keeps the kernel-weight blocking inside `modesig.kde`.
+The last two keep the kernel-weight blocking inside `modesig.kde` and
+every np.exp inside its sub-tiny flush.
 """
 
 import ast
@@ -97,3 +98,20 @@ def test_kernel_weights_built_only_in_kde():
                 used.add(node.name)
             offenders.extend(f"{path.name}: {name}" for name in used & internals)
     assert not offenders, f"kernel internals used outside kde.py: {sorted(offenders)}"
+
+
+def exp_scopes(node, scope):
+    """The enclosing qualified name of every reference to np.exp below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr == "exp" \
+                and isinstance(child.value, ast.Name) and child.value.id == "np":
+            yield scope
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from exp_scopes(child, f"{scope}.{child.name}" if named else scope)
+
+
+def test_every_exponential_is_flushed():
+    # every kernel weight, grid factor and Hessian term goes through the one flushed exp
+    scopes = [s for path in sorted(PACKAGE.glob("*.py"))
+              for s in exp_scopes(ast.parse(path.read_text(), filename=str(path)), path.stem)]
+    assert scopes == ["kde.DensityModel._exp_flushed"], scopes

@@ -2,7 +2,8 @@
 
 Each demo writes to `<script dir>/out/<name>`, so it runs from a copy in a
 temporary directory, in a fresh interpreter, once with one BLAS thread and
-once with two: README says the outputs reproduce at both.
+once with two: README says the outputs reproduce at both.  Each run turns a
+RuntimeWarning into an error, as pyproject.toml does for the tests themselves.
 """
 
 import os
@@ -30,8 +31,8 @@ def test_demo_reproduces_committed_output(tmp_path, script, name):
         work.mkdir()
         shutil.copy(DEMOS / script, work / script)
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
-        run = subprocess.run([sys.executable, script], cwd=work, env=env,
-                             capture_output=True, text=True)
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", script],
+                             cwd=work, env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         got = sorted(p.name for p in (work / "out" / name).iterdir())
         assert got == expected, threads

@@ -14,6 +14,7 @@ from modesig import (
     bootstrap_hessian_batch,
     default_axes,
     density_grid,
+    find_modes,
     kde,
 )
 from oracles import grid_density, kde_reference, kernel_weights
@@ -175,6 +176,7 @@ class TestModelBasics:
         (1e-150, 1.0),  # h^(d+2) underflows to 0
         (1e200, 1.0),  # h^2 overflows
         (1.0, 1e200),  # ||X - c||^2 / 2h^2 overflows
+        (1.0, 4e307),  # so does the cell split's spread, np.ptp, before the check
     ])
     def test_degenerate_scales_rejected(self, h, scale):
         pts = np.random.default_rng(0).normal(size=(600, 2)) * scale
@@ -304,7 +306,7 @@ def test_sub_tiny_weights_flush_to_exact_zero():
     for rows in (slice(None), slice(0, 16)):
         w = sample_weights(m, q[rows])
         assert np.all(w[sub[rows]] == 0.0)
-        assert np.array_equal(w[~sub[rows]], np.exp(np.minimum(exponent[rows][~sub[rows]], 0.0)))
+        assert np.array_equal(w[~sub[rows]], np.exp(exponent[rows][~sub[rows]]))
         assert not np.any((w > 0.0) & (w < tiny))
     # Random 3-d data: queries 30 h to 50 h from the sample mean never get a
     # subnormal weight, and a weight is 0 exactly where the exponent lies below log(tiny).
@@ -320,6 +322,43 @@ def test_sub_tiny_weights_flush_to_exact_zero():
     assert np.all(w[exponent < np.log(tiny) - margin] == 0.0)
     assert np.all(w[exponent > np.log(tiny) + margin] >= tiny)
     assert np.any(exponent < np.log(tiny)) and np.any(exponent > np.log(tiny))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+def test_grid_factors_flush_to_exact_zero():
+    # A sample 60 h wide on its default grid: grid coordinates near one edge
+    # and sample points near the other have axis exponents in (-745, log(tiny)),
+    # where np.exp is subnormal; the factors there are flushed to exact 0.
+    tiny = np.finfo(np.float64).tiny
+    pts = np.random.default_rng(34).uniform(0.0, 60.0, (600, 2))
+    m = DensityModel(pts, 1.0)
+    axes = default_axes(pts, 1.0)
+    exponent = -0.5 * (axes[0][:, None] - pts[:, 0]) ** 2
+    assert np.any((exponent > -745.0) & (exponent < np.log(tiny)))
+    factors = np.concatenate([f.ravel() for _, fs in m._grid_tiles(axes) for f in fs])
+    assert np.any(factors == 0.0) and not np.any((factors > 0.0) & (factors < tiny))
+    f = density_grid(m, axes)
+    ref = np.concatenate([grid_density(pts, 1.0, (axes[0][lo:lo + 16], axes[1]))
+                          for lo in range(0, axes[0].size, 16)])
+    assert np.max(np.abs(f.values - ref)) <= 2e-15 * np.max(ref)
+
+
+@pytest.mark.parametrize("n", [500, 2000])  # one cell, four cells
+def test_overflowing_queries_weigh_zero(n):
+    # ||q - c||^2 overflows for these rows: their weights are exactly 0, with no
+    # RuntimeWarning, and find_modes takes such a start as dead
+    rng = np.random.default_rng(35)
+    m = DensityModel(rng.normal(size=(n, 2)), 1.0)
+    assert m._cell_log_n.size == (1 if n <= kde._CELL_POINTS else 4)
+    q = np.array([[1e200, 0.0], [0.0, -1e160], [1.7e308, -1.7e308], [0.0, 0.0]])
+    dens, target = m._mean_shift(q)
+    assert np.array_equal(m.density(q)[:3], [0.0] * 3) and m.density(q)[3] > 0.0
+    assert np.array_equal(dens, m.density(q)) and np.all(np.isnan(target[:3]))
+    assert np.array_equal(m.gradient(q)[:3], np.zeros((3, 2)))
+    cands, asg = find_modes(m, mesh=np.vstack([m.points[:20], q[:3]]))
+    assert not np.any(asg.converged[-3:]) and asg.diagnostics["n_unconverged"] == 3
+    assert sum(c.basin_size for c in cands) == 20
 
 
 def test_hessian_terms_far_out_hold_no_subnormal():
