@@ -77,6 +77,12 @@ class EigenPortrait:
 _COUNT_BLOCK = 1 << 18  # count entries converted to float64 at a time in _boot: 2 MB
 
 
+def _check_replicates(B) -> None:
+    """Raise ValueError unless B, the number of bootstrap replicates, is an integer >= 1."""
+    if not (isinstance(B, (int, np.integer)) and B >= 1):
+        raise ValueError(f"B must be >= 1 and an integer, got {B!r}")
+
+
 def _resample_counts(n: int, B: int, seed: int) -> np.ndarray:
     """(B, n) multiplicity matrix: row b counts each data index in resample b.
 
@@ -138,8 +144,7 @@ def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[Boot
     at a point do not depend on which other points share the call.  B and
     the points are checked before any resampling.
     """
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    _check_replicates(B)
     model = DensityModel(Y, h)
     points = [np.asarray(p, dtype=np.float64) for p in points]
     for i, at in enumerate(points):

@@ -35,6 +35,8 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, family: str, payload: dict) -> "GeneratorSpec":
@@ -46,19 +48,19 @@ class GeneratorSpec:
         return cls(family=family, n=int(n), seed=int(seed), params=payload)
 
 
-def _weights(params, k: int, key: str = "weights") -> np.ndarray:
-    w = np.asarray(params.get(key, np.full(k, 1.0 / k)), dtype=np.float64)
+def _weights(params, k: int) -> np.ndarray:
+    w = np.asarray(params.get("weights", np.full(k, 1.0 / k)), dtype=np.float64)
     if w.shape != (k,) or np.any(w < 0):
-        raise ValueError(f"{key} must be {k} nonnegative numbers")
+        raise ValueError(f"weights must be {k} nonnegative numbers")
     if abs(float(np.sum(w)) - 1.0) > 1e-9:
-        raise ValueError(f"{key} must sum to 1")
+        raise ValueError("weights must sum to 1")
     return w
 
 
-def _diag(params, key: str, d: int, default=None) -> np.ndarray:
-    v = np.asarray(params.get(key, np.ones(d) if default is None else default), dtype=np.float64)
-    if v.shape != (d,) or np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise ValueError(f"{key} must be {d} positive finite numbers")
+def _diag(params, d: int) -> np.ndarray:
+    v = np.asarray(params.get("cov_diag", np.ones(d)), dtype=np.float64)
+    if v.shape != (d,) or np.any(v <= 0):
+        raise ValueError(f"cov_diag must be {d} positive numbers")
     return v
 
 
@@ -71,7 +73,10 @@ _ALLOWED_KEYS = {
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
-    """Draw the sample described by spec as an (n, d) matrix."""
+    """Draw the sample described by spec as an (n, d) matrix.
+
+    Raises ValueError, naming the key, for an unknown or non-finite parameter.
+    """
     rng = np.random.default_rng(spec.seed)
     p = spec.params
     n = spec.n
@@ -81,10 +86,13 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
         raise ValueError(
             f"unknown parameter(s) for {spec.family!r}: {sorted(unknown)}"
         )
+    for key, value in p.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=np.float64))):
+            raise ValueError(f"{key} must be finite")
 
     if spec.family == "gaussian":
         mean = np.atleast_1d(np.asarray(p.get("mean", [0.0]), dtype=np.float64))
-        cov = _diag(p, "cov_diag", mean.shape[0])
+        cov = _diag(p, mean.shape[0])
         return mean + np.sqrt(cov) * rng.standard_normal((n, mean.shape[0]))
 
     if spec.family == "mixture":

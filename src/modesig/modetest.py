@@ -40,8 +40,7 @@ class ModeTestConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.B < 1:
-            raise ValueError("B must be >= 1")
+        boot._check_replicates(self.B)
         if not (self.h > 0.0 and np.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
 

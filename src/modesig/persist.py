@@ -22,12 +22,11 @@ _exact_deviations why that product is exact.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boot import ceil_order_statistic, _resample_counts
+from .boot import ceil_order_statistic, _check_replicates, _resample_counts
 from .kde import DensityModel, _tile_weights, as_points
 
 __all__ = [
@@ -68,14 +67,20 @@ class PersistenceDiagram:
 
 
 def default_axes(points, h: float, resolution: int | None = None) -> tuple:
-    """Evenly spaced axes covering the data plus a 3h margin per side."""
+    """Evenly spaced axes covering the data plus a 3h margin per side.
+
+    Raises ValueError unless h is positive and finite and the resolution,
+    points per axis, is an integer >= 2.
+    """
     pts = as_points(points)
     d = pts.shape[1]
     if d > 3:
         raise ValueError("persistence grids support d <= 3")
-    res = _DEFAULT_RES[d] if resolution is None else int(resolution)
-    if res < 2:
-        raise ValueError("resolution must be >= 2")
+    if not (h > 0.0 and np.isfinite(h)):
+        raise ValueError(f"h must be positive and finite, got {h!r}")
+    res = _DEFAULT_RES[d] if resolution is None else resolution
+    if not (isinstance(res, (int, np.integer)) and res >= 2):
+        raise ValueError(f"resolution must be an integer >= 2, got {res!r}")
     return tuple(
         np.linspace(pts[:, j].min() - 3.0 * h, pts[:, j].max() + 3.0 * h, res)
         for j in range(d)
@@ -153,25 +158,24 @@ def superlevel_persistence(f: GridFunction) -> np.ndarray:
     return pairs[sort]
 
 
-def _exact_deviations(dev_counts: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _exact_deviations(dev_counts: np.ndarray, w: np.ndarray) -> np.ndarray:
     """dev_counts @ rint(w).T for bootstrap_band, exact whatever the summation order.
 
     dev_counts (B, k) holds resample counts minus one over k of the n sample
     points; w (g, k) holds their kernel weights in [0, 1] times 2^F,
     F = 53 - E, E = ceil(log2(2n)) for the full sample size n, and is rounded
-    in place to integers, which moves each weight by at most 2^-(F+1).  The
-    product goes into the head of the flat buffer `out`.  Why it is exact:
-    the multipliers are integers with sum_i |c_i - 1| <= sum_i c_i + n = 2n
-    <= 2^E over all n points, a fortiori over k of them, and each rounded
-    weight is at most 2^F.  Every product and every partial sum, in any
-    grouping, is then an integer of magnitude at most 2^53, which float64
-    holds exactly.  So any summation order, thread split or fused
-    multiply-add gives the same bits.  F must come from n, not from k: the
-    bound holds for k columns only because it holds for all n.
+    in place to integers, which moves each weight by at most 2^-(F+1).  Why
+    the product is exact: the multipliers are integers with
+    sum_i |c_i - 1| <= sum_i c_i + n = 2n <= 2^E over all n points, a
+    fortiori over k of them, and each rounded weight is at most 2^F.  Every
+    product and every partial sum, in any grouping, is then an integer of
+    magnitude at most 2^53, which float64 holds exactly.  So any summation
+    order, thread split or fused multiply-add gives the same bits.  F must
+    come from n, not from k: the bound holds for k columns only because it
+    holds for all n.
     """
     np.rint(w, out=w)
-    B, g = dev_counts.shape[0], w.shape[0]
-    return np.matmul(dev_counts, w.T, out=out[:B * g].reshape(B, g))
+    return dev_counts @ w.T
 
 
 def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> float:
@@ -205,8 +209,7 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    if B < 1:
-        raise ValueError("B must be >= 1")
+    _check_replicates(B)
     n = pts.shape[0]
     order = np.argsort(pts[:, 0], kind="stable")
     model = DensityModel(pts[order], h)
@@ -215,22 +218,17 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     counts = _resample_counts(n, B, seed)[:, order] - 1.0
     grid = 2.0 ** (53 - (2 * n - 1).bit_length())  # 2^F (_exact_deviations)
     dev = np.zeros(B)  # per replicate, max |deviation| * grid / norm over the tiles so far
-    product = None
     for _, factors in tiles:
-        if product is None:  # buffers for every tile, sized by the first, which is the largest
-            g = math.prod(f.shape[0] for f in factors)
-            weights, product = np.empty(g * n) if model.d > 1 else None, np.empty(B * g)
         factors[0] *= grid  # exact; weights that can round to nonzero keep their scaled bits
         # per point, its factor maxima multiplied in _tile_weights' order bound its weights
         top = functools.reduce(np.multiply, [f.max(axis=0) for f in factors])
         kept = np.flatnonzero(top > 0.5)
         if kept.size:
             cols = slice(kept[0], kept[-1] + 1)
-            block = _exact_deviations(counts[:, cols],
-                                      _tile_weights([f[:, cols] for f in factors], weights), product)
-            np.maximum(dev, np.maximum(block.max(axis=1), -block.min(axis=1)), out=dev)
-        del factors  # free this tile before the generator builds the next
-    np.abs(dev, out=dev)  # np.maximum can keep -0.0 from a tie with +0.0
+            block = _exact_deviations(counts[:, cols], _tile_weights([f[:, cols] for f in factors]))
+            np.maximum(dev, np.abs(block, out=block).max(axis=1), out=dev)
+            del block
+        del factors  # free this tile, with its product above, before the generator builds the next
     return model._norm * (ceil_order_statistic(dev, 1.0 - alpha) / grid)
 
 

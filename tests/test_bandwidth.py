@@ -13,6 +13,7 @@ from modesig import (
     default_grid,
     generate,
     mode_test_on_split,
+    modetest,
     run_mode_test,
     scan,
     select_bandwidth,
@@ -134,6 +135,15 @@ class TestScan:
             scan(data, grid=np.array([0.5, -1.0]), cfg=ModeTestConfig(h=1.0))
         with pytest.raises(ValueError):
             scan(data, grid=np.zeros(0), cfg=ModeTestConfig(h=1.0))
+
+    def test_non_integer_B_rejected_before_stage_1(self, monkeypatch):
+        # a float B once passed the config check and failed only in the count draw,
+        # after stage 1 had run at every bandwidth
+        def no_stage_1(*args, **kwargs):
+            raise AssertionError("find_modes ran before B was checked")
+        monkeypatch.setattr(modetest, "find_modes", no_stage_1)
+        with pytest.raises(ValueError, match="B must be >= 1 and an integer, got 2.5"):
+            scan(bimodal(100, seed=6), grid=np.array([0.5, 1.0]), cfg=ModeTestConfig(h=1.0, B=2.5))
 
 
 def test_two_mode_data_selects_a_two_mode_bandwidth():

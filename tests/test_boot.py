@@ -129,9 +129,10 @@ class TestDraws:
 
     @pytest.mark.parametrize("B, points, message", [
         (0, [np.zeros(2)], "B must be"),
+        (2.5, [np.zeros(2)], "B must be >= 1 and an integer, got 2.5"),
         (5, [np.zeros(2), np.zeros(3)], r"point 1 must be 2 finite coordinates, got \[0\. 0\. 0\.\]"),
         (5, [np.zeros(2), np.zeros(2), [0, np.nan]], r"point 2 must be .*, got \[ 0\. nan\]"),
-    ], ids=["B", "shape", "nan"])
+    ], ids=["B", "B_float", "shape", "nan"])
     def test_inputs_checked_before_resampling(self, monkeypatch, B, points, message):
         def no_draw(*args):
             raise AssertionError("counts drawn before the inputs were checked")

@@ -90,6 +90,11 @@ class TestSimulate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_named(self, spec_file, capsys):
+        rc = main(["simulate", "--family", "gaussian", "--spec", spec_file({"n": 5, "seed": -1})])
+        assert rc == 2
+        assert "error: seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+
     def test_mixture_without_means(self, spec_file, capsys):
         rc = main(["simulate", "--family", "mixture", "--spec", spec_file({"n": 10})])
         assert rc == 2

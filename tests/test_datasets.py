@@ -28,6 +28,29 @@ class TestSpec:
         with pytest.raises(ValueError, match="unknown parameter"):
             generate(GeneratorSpec(family="gaussian", n=5, params={"var": [1.0]}))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            GeneratorSpec(family="gaussian", n=5, seed=seed)
+
+    @pytest.mark.parametrize("family, params, key", [
+        ("mixture", {"means": [[0.0], [1.0]], "cov_diags": [[1.0], [np.inf]]}, "cov_diags"),
+        ("mixture", {"means": [[0.0], [1.0]], "cov_diags": [[np.nan], [1.0]]}, "cov_diags"),
+        ("mixture", {"means": [[0.0], [np.nan]]}, "means"),
+        ("gaussian", {"mean": [0.0, np.inf]}, "mean"),
+        ("gaussian", {"cov_diag": [np.inf]}, "cov_diag"),
+        ("ring", {"radius": np.inf}, "radius"),
+        ("ring", {"noise": np.nan}, "noise"),
+        ("singular-mixture", {"mu": np.nan}, "mu"),
+        ("singular-mixture", {"sigma": np.inf}, "sigma"),
+    ], ids=["mixture_cov_inf", "mixture_cov_nan", "mixture_means_nan", "gaussian_mean_inf",
+            "gaussian_cov_inf", "ring_radius_inf", "ring_noise_nan", "singular_mu_nan",
+            "singular_sigma_inf"])
+    def test_non_finite_parameter_rejected(self, family, params, key):
+        # each of these once drew a sample with inf or NaN entries
+        with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+            generate(GeneratorSpec(family=family, n=5, params=params))
+
     def test_families_constant(self):
         assert set(FAMILIES) == {"gaussian", "mixture", "ring", "singular-mixture"}
 

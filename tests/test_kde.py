@@ -214,6 +214,21 @@ class TestModelBasics:
         for dc, df in zip(draws_c, draws_f):
             assert df.lambda_star.tobytes() == dc.lambda_star.tobytes()
 
+    def test_sample_operand_is_64_byte_aligned(self):
+        # every cell's run of _aug columns then starts on a 64-byte boundary too; the
+        # alignment moves speed, not bits
+        rng = np.random.default_rng(6)
+        for n, d in [(3, 1), (300, 2), (700, 3), (2000, 10), (10_000, 10)]:
+            m = DensityModel(rng.normal(size=(n, d)), 1.0)
+            assert m._aug.ctypes.data % 64 == 0 and m._aug.flags.c_contiguous, (n, d)
+        q = m.points[:50] + rng.normal(size=(50, d))
+        density, gradient = m.density(q), m.gradient(q)
+        m._aug = np.empty(m._aug.size + 1)[1:].reshape(m._aug.shape)  # 8 bytes off alignment
+        m._aug[...] = DensityModel(m.points, 1.0)._aug
+        assert m._aug.ctypes.data % 64 != 0
+        assert m.density(q).tobytes() == density.tobytes()
+        assert m.gradient(q).tobytes() == gradient.tobytes()
+
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="np.longdouble is no wider than float64 here")
@@ -486,17 +501,23 @@ class TestBlocking:
         axes = default_axes(pts, 0.5)
         m = DensityModel(pts, 0.5)
         B = 4
-        bounds = {"density_grid": 1.25 * kde._BLOCK_ENTRIES * 8,
-                  "bootstrap_band": 1.25 * kde._BLOCK_ENTRIES * 8 + B * pts.shape[0] * 8}
-        for name, evaluate in [("density_grid", lambda: density_grid(m, axes)),
-                               ("bootstrap_band", lambda: bootstrap_band(pts, 0.5, axes, 0.1, B, 0))]:
+        # B > n on 64^2 axes: the band's (B, tile) products dominate, and one kept
+        # alive into the next tile would overshoot the bound
+        few = rng.normal(size=(500, 2))
+        few_axes = default_axes(few, 0.5, resolution=64)
+        cases = [("density_grid", lambda: density_grid(m, axes), 1.25 * kde._BLOCK_ENTRIES * 8),
+                 ("bootstrap_band", lambda: bootstrap_band(pts, 0.5, axes, 0.1, B, 0),
+                  1.25 * kde._BLOCK_ENTRIES * 8 + B * pts.shape[0] * 8),
+                 ("bootstrap_band B > n", lambda: bootstrap_band(few, 0.5, few_axes, 0.1, 2000, 0),
+                  1.25 * kde._BLOCK_ENTRIES * 8 + 2000 * few.shape[0] * 8)]
+        for name, evaluate, bound in cases:
             tracemalloc.start()
             try:
                 evaluate()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < bounds[name], f"{name} peaked at {peak} bytes"
+            assert peak < bound, f"{name} peaked at {peak} bytes"
 
 
 def clustered_sample(rng, d, n=300, h=0.5):

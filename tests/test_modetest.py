@@ -68,6 +68,10 @@ class TestConfig:
             ModeTestConfig(h=1.0, alpha=1.0)
         with pytest.raises(ValueError):
             ModeTestConfig(h=1.0, B=0)
+        for B in [2.5, 2.0, "3"]:
+            with pytest.raises(ValueError, match="B must be >= 1 and an integer"):
+                ModeTestConfig(h=1.0, B=B)
+        assert ModeTestConfig(h=1.0, B=np.int64(3)).B == 3
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

@@ -331,7 +331,7 @@ class TestBand:
         with pytest.raises(ValueError):
             bootstrap_band(data, 1.0, self.grid_1d(), alpha=0.0, B=5, seed=0)
 
-    @pytest.mark.parametrize("B", [0, -1])
+    @pytest.mark.parametrize("B", [0, -1, 2.0])
     def test_replicate_count_domain(self, B):
         data = np.zeros((5, 1))
         with pytest.raises(ValueError, match="B must be >= 1"):
@@ -392,6 +392,24 @@ class TestGridHelpers:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             default_axes(np.zeros((4, 1)), h=1.0, resolution=1)
+
+    @pytest.mark.parametrize("h, resolution, message", [
+        (-1.0, None, "h must be positive and finite"),
+        (0.0, None, "h must be positive and finite"),
+        (np.nan, None, "h must be positive and finite"),
+        (np.inf, None, "h must be positive and finite"),
+        (1.0, 2.7, "resolution must be an integer >= 2, got 2.7"),
+        (1.0, 16.0, "resolution must be an integer >= 2"),
+    ], ids=["negative_h", "zero_h", "nan_h", "inf_h", "fractional_resolution", "float_resolution"])
+    def test_bad_bandwidth_or_resolution_rejected(self, h, resolution, message):
+        # a negative h once gave axes narrower than the data, reversed on 50 points
+        data = np.random.default_rng(3).normal(size=(50, 2))
+        with pytest.raises(ValueError, match=message):
+            default_axes(data, h, resolution=resolution)
+
+    def test_numpy_integer_resolution_accepted(self):
+        axes = default_axes(np.zeros((4, 2)), h=1.0, resolution=np.int64(5))
+        assert [a.size for a in axes] == [5, 5]
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                         reason="np.longdouble is no wider than float64 here")

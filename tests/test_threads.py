@@ -50,7 +50,7 @@ for g in [4096, _BLOCK_ENTRIES // 2000]:
     real = model._aug[3] == 1.0  # the sample's columns; padding has 0 in the unit row
     w = model._exp_weights(rng.uniform(-4.0, 4.0, size=(g, 3)))[:, real]
     w *= 2.0 ** (53 - (2 * 2000 - 1).bit_length())
-    dev = _exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w, np.empty(200 * g))
+    dev = _exact_deviations(_resample_counts(2000, 200, 0) - 1.0, w)
     out[f"band_200x2000x{g}"] = digest(dev)
 # the whole band over 32^3 points, whose tiles take sorted column ranges of the sample
 band = bootstrap_band(pts[:600], 0.8, default_axes(pts[:600], 0.8, resolution=32), 0.1, 200, 0)
