@@ -33,8 +33,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -45,7 +45,7 @@ class GeneratorSpec:
         if n is None:
             raise ValueError("generator spec must contain 'n'")
         seed = payload.pop("seed", 0)
-        return cls(family=family, n=int(n), seed=int(seed), params=payload)
+        return cls(family=family, n=n, seed=seed, params=payload)  # checked, not truncated
 
 
 def _weights(params, k: int) -> np.ndarray:

@@ -16,7 +16,8 @@ once, by the code that enforces it:
 - cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
 - BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM)
 - grids from per-axis factors, in bounded tiles: _grid_tiles
-- the persistence band's exact product: persist._exact_deviations
+- the persistence band's exact product: persist._exact_deviations, and the sample
+  points and grid points it skips: persist.bootstrap_band
 """
 
 from __future__ import annotations

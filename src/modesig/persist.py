@@ -15,8 +15,8 @@ Chazal et al. 2013): steepest-ascent pointers label every vertex with its
 basin's peak, and an elder-rule union-find runs over the peaks along the
 basin-boundary edges only.
 
-bootstrap_band states which sample points the band's product skips, and
-_exact_deviations why that product is exact.
+bootstrap_band states which sample points and grid points the band's product
+skips, and _exact_deviations why that product is exact.
 """
 
 from __future__ import annotations
@@ -178,6 +178,23 @@ def _exact_deviations(dev_counts: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dev_counts @ w.T
 
 
+def _deviation_bound(lead: np.ndarray, last: np.ndarray, m: np.ndarray, d: int) -> np.ndarray:
+    """The bound U >= sum_i m_i rint(lead[a, i] * last[b, i]) of bootstrap_band, as
+    (lead rows, last rows), for a tile of a d-axis grid over k sample points.
+
+    lead (r, k) holds the tile's weights over its leading axes, last (t, k)
+    the last axis' factor and m (k,) the points' multipliers; the tile's
+    points take (a, b) in C order.  bootstrap_band states the margin.
+    """
+    if lead.shape[0] <= last.shape[0]:  # fold m into the operand with fewer rows
+        u = (lead * m) @ last.T
+    else:
+        u = lead @ (last * m).T
+    u += 0.5 * np.sum(m)
+    u *= 1.0 + (m.size + d + 1) * 2.0**-52
+    return u
+
+
 def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> float:
     """Bootstrap quantile of the grid sup-norm deviation of the KDE.
 
@@ -202,9 +219,29 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     without any is skipped, and the exact sums do not change.  Each
     replicate's maximum is divided by 2^F once at the end, which by
     monotone rounding equals dividing each tile's.  So the band has the bits
-    of the plain product over every point.  Before any resampling, raises
-    ValueError for bad alpha or B, and unless `axes` holds one non-empty,
-    finite 1-d axis per coordinate.
+    of the plain product over every point.
+
+    The product also skips the grid points that cannot move the band.  With
+    m_i = max(max_b c_bi, 2) - 1 >= max_b |c_bi - 1| from the counts c, no
+    replicate's deviation at grid point g exceeds T_g = sum_i m_i rint(w_gi)
+    over the tile's range of k points.  Let q be the order statistic of the
+    replicates' maxima over the tiles taken so far.  A point with T_g <= q
+    leaves every maximum at or above q as it is and lifts none below q past
+    q, so q does not change; q only rises, so that holds in any tile order.
+    So a tile's product takes only the points whose float bound U_g >= T_g
+    exceeds the running q, and their weight rows are built from the leading
+    axes' weights (_tile_weights) times the last axis' factor, the
+    weights' bits.  U comes from one contraction of those two operands
+    (_deviation_bound): U_g = (sum_i m_i w_gi + sum_i m_i / 2)(1 + (k + d + 1) 2^-52).
+    The half-sum covers rint(x) <= x + 1/2, and any product that underflows,
+    whose weight rounds to 0.  The relative margin covers the rounding: the
+    float sum is within k + d - 1 roundings of sum_i m_i prod_j f_gij (d per
+    term, k - 1 adding), each w_gi within d - 1 of prod_j f_gij, and two
+    more apply the margin; k + 2d roundings of relative 2^-53 at most, which
+    (k + d + 1) 2^-52 covers with room for their second-order terms.  The
+    sum of the integers m_i is exact below 2^53.  Before any resampling,
+    raises ValueError for bad alpha or B, and unless `axes` holds one
+    non-empty, finite 1-d axis per coordinate.
     """
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
@@ -215,7 +252,10 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     model = DensityModel(pts[order], h)
     tiles = model._grid_tiles(axes, B)  # checks the axes; width B: each tile also makes (B, g)
     # deviation weights in sorted order: p_star - p_hat = norm * (counts - 1) @ K
-    counts = _resample_counts(n, B, seed)[:, order] - 1.0
+    draw = _resample_counts(n, B, seed)[:, order]
+    m = (np.maximum(draw.max(axis=0), 2) - 1).astype(np.float64)  # from the integers: no (B, n) copy
+    counts = draw - 1.0
+    del draw
     grid = 2.0 ** (53 - (2 * n - 1).bit_length())  # 2^F (_exact_deviations)
     dev = np.zeros(B)  # per replicate, max |deviation| * grid / norm over the tiles so far
     for _, factors in tiles:
@@ -225,9 +265,20 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
         kept = np.flatnonzero(top > 0.5)
         if kept.size:
             cols = slice(kept[0], kept[-1] + 1)
-            block = _exact_deviations(counts[:, cols], _tile_weights([f[:, cols] for f in factors]))
-            np.maximum(dev, np.abs(block, out=block).max(axis=1), out=dev)
-            del block
+            *lead, last = [f[:, cols] for f in factors]
+            lead = _tile_weights([np.ones((1, last.shape[1])), *lead])
+            bound = _deviation_bound(lead, last, m[cols], len(factors))
+            lead_row, last_row = np.divmod(
+                np.flatnonzero(bound > ceil_order_statistic(dev, 1.0 - alpha)), last.shape[0])
+            if lead_row.size:
+                w = last[last_row]
+                runs = np.flatnonzero(np.diff(lead_row, prepend=-1))  # rows sharing a lead row
+                for lo, hi in zip(runs, [*runs[1:], lead_row.size]):
+                    w[lo:hi] *= lead[lead_row[lo]]  # in place: no second (rows, k) temporary
+                block = _exact_deviations(counts[:, cols], w)
+                np.maximum(dev, np.abs(block, out=block).max(axis=1), out=dev)
+                del w, block
+            del lead, last, bound
         del factors  # free this tile, with its product above, before the generator builds the next
     return model._norm * (ceil_order_statistic(dev, 1.0 - alpha) / grid)
 

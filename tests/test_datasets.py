@@ -20,6 +20,18 @@ class TestSpec:
         assert s.n == 20 and s.seed == 3
         assert s.params == {"radius": 2.0}
 
+    def test_n_must_be_an_integer(self):
+        # numpy's TypeError came from inside the generator
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got 2.5"):
+            generate(GeneratorSpec(family="gaussian", n=2.5))
+
+    @pytest.mark.parametrize("payload, key", [({"n": 2.7, "seed": 1.9}, "n"),
+                                              ({"n": 2, "seed": 1.9}, "seed")])
+    def test_from_dict_does_not_truncate(self, payload, key):
+        # {"n": 2.7, "seed": 1.9} once gave n = 2 and seed = 1
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            GeneratorSpec.from_dict("gaussian", payload)
+
     def test_from_dict_requires_n(self):
         with pytest.raises(ValueError, match="'n'"):
             GeneratorSpec.from_dict("gaussian", {"mean": [0.0]})

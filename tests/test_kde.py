@@ -505,11 +505,17 @@ class TestBlocking:
         # alive into the next tile would overshoot the bound
         few = rng.normal(size=(500, 2))
         few_axes = default_axes(few, 0.5, resolution=64)
+        # 20,000 points and 1,000 replicates: the float64 counts minus one, made
+        # beside the uint16 draw, dominate
+        many = rng.normal(size=(20_000, 2))
+        many_axes = default_axes(many, 0.5, resolution=64)
         cases = [("density_grid", lambda: density_grid(m, axes), 1.25 * kde._BLOCK_ENTRIES * 8),
                  ("bootstrap_band", lambda: bootstrap_band(pts, 0.5, axes, 0.1, B, 0),
                   1.25 * kde._BLOCK_ENTRIES * 8 + B * pts.shape[0] * 8),
                  ("bootstrap_band B > n", lambda: bootstrap_band(few, 0.5, few_axes, 0.1, 2000, 0),
-                  1.25 * kde._BLOCK_ENTRIES * 8 + 2000 * few.shape[0] * 8)]
+                  1.25 * kde._BLOCK_ENTRIES * 8 + 2000 * few.shape[0] * 8),
+                 ("bootstrap_band B = 1000", lambda: bootstrap_band(many, 0.5, many_axes, 0.1, 1000, 0),
+                  1.25 * kde._BLOCK_ENTRIES * 8 + 1000 * many.shape[0] * (8 + 2))]
         for name, evaluate, bound in cases:
             tracemalloc.start()
             try:

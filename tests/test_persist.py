@@ -280,17 +280,24 @@ class TestBand:
         assert bootstrap_band(data, 0.8, self.grid_1d(), alpha=0.1, B=40, seed=2) == band
 
     @staticmethod
-    def product_widths(monkeypatch):
-        """Record how many sample columns each exact product of the band takes."""
-        widths = []
+    def spied_products(monkeypatch):
+        """Record how many grid points each tile's bound covers, and the (replicates,
+        grid points, sample columns) of each exact product of the band."""
+        bounded, products = [], []
 
-        def spy(dev_counts, *rest):
-            widths.append(dev_counts.shape[1])
-            return exact(dev_counts, *rest)
+        def bound_spy(*args):
+            u = bound(*args)
+            bounded.append(u.size)
+            return u
 
-        exact = persist._exact_deviations
-        monkeypatch.setattr(persist, "_exact_deviations", spy)
-        return widths
+        def product_spy(dev_counts, w):
+            products.append((dev_counts.shape[0], *w.shape))
+            return exact(dev_counts, w)
+
+        bound, exact = persist._deviation_bound, persist._exact_deviations
+        monkeypatch.setattr(persist, "_deviation_bound", bound_spy)
+        monkeypatch.setattr(persist, "_exact_deviations", product_spy)
+        return bounded, products
 
     @pytest.mark.parametrize("d, n, B, res, budget", [
         (1, 200, 50, 128, 6 * 400),  # 6-point tiles
@@ -308,23 +315,64 @@ class TestBand:
         data = rng.normal(scale=h, size=(n, d)) + 30.0 * h * rng.choice([-1.0, 1.0], size=(n, 1))
         axes = default_axes(data, h, resolution=res)
         tiles = sum(1 for _ in DensityModel(data, h)._grid_tiles(axes, B))
-        widths = self.product_widths(monkeypatch)
+        bounded, products = self.spied_products(monkeypatch)
         band = bootstrap_band(data, h, axes, alpha=0.1, B=B, seed=d)
         assert band == bootstrap_band_reference(data, h, axes, alpha=0.1, B=B, seed=d)
+        widths = [k for _, _, k in products]
         assert 0 < len(widths) < tiles and max(widths) < n
+        # the bound skips grid points of the tiles the product takes
+        assert sum(g for _, g, _ in products) < sum(bounded)
+
+    def test_ties_at_the_band_equal_the_oracle(self, monkeypatch):
+        # three points and 200 replicates: the maxima of the replicates ranked 179
+        # to 181 all equal the band, the rank-180 order statistic
+        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 8 * (200 + 2 * 3))  # 8-point tiles
+        data = np.random.default_rng(1).normal(size=(3, 2))
+        axes = default_axes(data, 0.5, resolution=32)
+        bounded, products = self.spied_products(monkeypatch)
+        band = bootstrap_band(data, 0.5, axes, alpha=0.1, B=200, seed=1)
+        ranked = [bootstrap_band_reference(data, 0.5, axes, alpha=a, B=200, seed=1)
+                  for a in (0.1 + 0.005, 0.1, 0.1 - 0.005)]
+        assert ranked == [band] * 3
+        assert sum(g for _, g, _ in products) < sum(bounded)
+
+    def test_deviation_bound_covers_exact_sums(self):
+        # last holds odd halves from 1.5 to 2^41, which round up by 1/2, so where lead
+        # is 1 the exact sums meet the bound's half-sum and only its relative margin
+        # covers the float sum's rounding; other lead rows span 2^-10 to 2^10.  With
+        # multipliers up to 2,000 the sums pass 2^53.  Lead has more rows than last,
+        # and then fewer.
+        rng = np.random.default_rng(5)
+        k = 300
+        m = rng.integers(1, 2000, size=k).astype(np.float64)
+        lead = rng.uniform(1.0, 2.0, size=(7, k)) * 2.0 ** rng.integers(-10, 10, size=(7, k))
+        lead[:3] = 1.0
+        last = 2.0 * np.floor(2.0 ** rng.uniform(0.0, 40.0, size=(5, k))) + 1.5
+        exact = [[sum(int(mi) * int(np.rint(w)) for mi, w in zip(m, a * b)) for b in last]
+                 for a in lead]
+        assert max(map(max, exact)) > 2**53
+        for u in (persist._deviation_bound(lead, last, m, 2),
+                  persist._deviation_bound(last, lead, m, 2).T):
+            for row, sums in zip(u.tolist(), exact):
+                # Python compares a float with an int exactly
+                assert all(s <= x <= (s + m.sum()) * (1.0 + 1e-12) for x, s in zip(row, sums))
 
     def test_product_skips_points_on_blobs(self, monkeypatch):
-        # persist_3d's input with fewer replicates (the same tiles): the tile
-        # products take about two thirds of the (tile, sample point) pairs
+        # persist_3d's input with fewer replicates (the same 320 tiles): the tile
+        # products take about three quarters of their tiles' (tile, sample point)
+        # pairs and, skipping grid points, 0.087 of the plain product's multiply-adds
         data = generate(GeneratorSpec(
             family="mixture", n=600, seed=0,
             params={"means": [[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]],
                     "cov_diags": [[0.25] * 3] * 3},
         ))
-        widths = self.product_widths(monkeypatch)
+        _, products = self.spied_products(monkeypatch)
         bootstrap_band(data, 0.8, default_axes(data, 0.8, resolution=64), alpha=0.1, B=20, seed=0)
-        assert len(widths) == 320
+        widths = [k for _, _, k in products]
+        assert len(widths) <= 320
         assert sum(widths) < 0.75 * 600 * len(widths), sum(widths) / (600 * len(widths))
+        madds = sum(b * g * k for b, g, k in products)
+        assert madds < 0.15 * 20 * 64**3 * 600, madds / (20 * 64**3 * 600)
 
     def test_alpha_domain(self):
         data = np.zeros((5, 1))
