@@ -268,8 +268,7 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
             *lead, last = [f[:, cols] for f in factors]
             lead = _tile_weights([np.ones((1, last.shape[1])), *lead])
             bound = _deviation_bound(lead, last, m[cols], len(factors))
-            lead_row, last_row = np.divmod(
-                np.flatnonzero(bound > ceil_order_statistic(dev, 1.0 - alpha)), last.shape[0])
+            lead_row, last_row = np.nonzero(bound > ceil_order_statistic(dev, 1.0 - alpha))
             if lead_row.size:
                 w = last[last_row]
                 runs = np.flatnonzero(np.diff(lead_row, prepend=-1))  # rows sharing a lead row
