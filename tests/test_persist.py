@@ -337,7 +337,7 @@ class TestBand:
         assert sum(g for _, g, _ in products) < sum(bounded)
 
     def test_deviation_bound_covers_exact_sums(self):
-        # last holds odd halves from 1.5 to 2^41, which round up by 1/2, so where lead
+        # last holds odd halves from 3.5 to 2^41, which round up by 1/2, so where lead
         # is 1 the exact sums meet the bound's half-sum and only its relative margin
         # covers the float sum's rounding; other lead rows span 2^-10 to 2^10.  With
         # multipliers up to 2,000 the sums pass 2^53.  Lead has more rows than last,
