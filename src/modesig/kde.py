@@ -15,7 +15,7 @@ once, by the code that enforces it:
   (query weights, Hessian terms, and the grid and band factors of _axis_factor)
 - cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
 - BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM)
-- grids from per-axis factors, in bounded tiles: _grid_tiles
+- grids from per-axis factors, in bounded tiles that share each last-axis factor: _grid_tiles
 - the persistence band's exact product: persist._exact_deviations, and the sample
   points and grid points it skips: persist.bootstrap_band
 """
@@ -119,18 +119,6 @@ def _split_cells(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order[lo:hi] = order[lo:hi][np.argsort(sub[:, widest], kind="stable")]
         stack += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
     return order, np.array(starts + [pts.shape[0]])
-
-
-def _tile_weights(factors: list) -> np.ndarray:
-    """A tile's kernel weights, (t_1 * ... * t_d, k) with rows in C order over the tile.
-
-    They are the broadcast product of the tile's per-axis factors (t_j, k),
-    taken in axis order; a single factor is returned as it is.
-    """
-    w = factors[0]
-    for f in factors[1:]:
-        w = (w[:, None, :] * f).reshape(-1, f.shape[1])
-    return w
 
 
 # --- fixed-order reduction over the sample ----------------------------------
@@ -283,19 +271,24 @@ class DensityModel:
         return self._exp_flushed(f, half_sq)
 
     def _grid_tiles(self, axes, width: int = 0):
-        """(box, factors) over the tiles of the product grid of `axes`.
+        """(box, lead, last) over the tiles of the product grid of `axes`.
 
-        box is a tuple of slices into the grid and factors[j] the (t_j, n)
-        kernel factor of axis j over box[j] (_axis_factor).  On a product grid
-        the kernel factors over the axes, exp(-||g - X_i||^2 / 2h^2) =
-        prod_j exp(-(g_j - X_ij)^2 / 2h^2), so _tile_weights builds a tile's
-        weights from (t_1 + ... + t_d) n exponentials, not t_1 ... t_d n.  A
-        tile of t_1 x ... x t_d points holds at most
+        box is a tuple of slices into the grid, and the tile's weight at its
+        point (a, b), in C order, is lead[a] * last[b]: lead (t_1 ... t_{d-1}, n)
+        is a row of ones times the leading axes' factors in axis order, last
+        (t_d, n) the last axis' factor (_axis_factor).  On a product grid the
+        kernel factors over the axes, exp(-||g - X_i||^2 / 2h^2) =
+        prod_j exp(-(g_j - X_ij)^2 / 2h^2), so the weights take
+        (t_1 + ... + t_d) n exponentials, not t_1 ... t_d n.  lead is fresh
+        for each tile, and the caller may scale it in place.  last is made
+        once per span of the last axis, the outermost loop, and is shared
+        read-only by that span's tiles, then freed before the next is made.
+        A tile of t_1 x ... x t_d points holds at most
         _BLOCK_ENTRIES // (max(n, width) + d * n) of them, so its weights (or
         a (width, tile) product of them) and its factors stay within the
         budget together.  Tiles take whole runs of the last axes first; the
         layout depends only on the grid shape, n and width.  The axes are
-        checked here, before any tile is built (_as_axes).
+        checked in this call, before any tile is built (_as_axes).
         """
         axes = _as_axes(axes, self.d)
         tile, left = [], max(1, _BLOCK_ENTRIES // (max(self.n, width) + self.d * self.n))
@@ -304,8 +297,19 @@ class DensityModel:
             left //= tile[0]
         spans = [[slice(lo, lo + t) for lo in range(0, a.size, t)] for a, t in zip(axes, tile)]
         half_sq = [np.max((a - c) ** 2) / (2.0 * self.h**2) for a, c in zip(axes, self._center)]
-        return ((box, [self._axis_factor(j, a[s], half_sq[j]) for j, (a, s) in enumerate(zip(axes, box))])
-                for box in itertools.product(*spans))
+
+        def tiles():  # a generator's body runs at the first tile: the checks above stay eager
+            for s in spans[-1]:
+                last = self._axis_factor(self.d - 1, axes[-1][s], half_sq[-1])
+                last.setflags(write=False)
+                for box in itertools.product(*spans[:-1]):
+                    lead = np.ones((1, self.n))
+                    for j, b in enumerate(box):
+                        f = self._axis_factor(j, axes[j][b], half_sq[j])
+                        lead = (lead[:, None, :] * f).reshape(-1, self.n)
+                    yield (*box, s), lead, last
+                del last  # free this span's factor before the next is made
+        return tiles()
 
     def _kept_cells(self, q: np.ndarray) -> np.ndarray:
         """The cells each query row keeps: an (m, 2) matrix of the first and one
@@ -405,11 +409,9 @@ class DensityModel:
         tile's leading-axes weights contracted with its last-axis factor (sample_sum)."""
         tiles = self._grid_tiles(axes)  # checks the axes
         values = np.empty([len(a) for a in axes])
-        for box, factors in tiles:
-            lead = _tile_weights([np.ones((1, self.n)), *factors[:-1]])
-            tile = self._norm * sample_sum(lead, factors[-1])
-            values[box] = tile.reshape([f.shape[0] for f in factors])
-            del factors, lead  # free this tile before the next is built
+        for box, lead, last in tiles:
+            values[box] = (self._norm * sample_sum(lead, last)).reshape(values[box].shape)
+            del lead, last  # free this tile before the next is built
         return values
 
     def hessian(self, x) -> np.ndarray:

@@ -21,13 +21,12 @@ skips, and _exact_deviations why that product is exact.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boot import ceil_order_statistic, _check_replicates, _resample_counts
-from .kde import DensityModel, _tile_weights, as_points
+from .kde import DensityModel, as_points
 
 __all__ = [
     "GridFunction",
@@ -182,14 +181,12 @@ def _deviation_bound(lead: np.ndarray, last: np.ndarray, m: np.ndarray, d: int) 
     """The bound U >= sum_i m_i rint(lead[a, i] * last[b, i]) of bootstrap_band, as
     (lead rows, last rows), for a tile of a d-axis grid over k sample points.
 
-    lead (r, k) holds the tile's weights over its leading axes, last (t, k)
-    the last axis' factor and m (k,) the points' multipliers; the tile's
-    points take (a, b) in C order.  bootstrap_band states the margin.
+    lead (r, k) holds the tile's scaled weights over its leading axes, last
+    (t, k) the last axis' factor and m (k,) the points' multipliers, folded
+    into lead; the tile's points take (a, b) in C order.  bootstrap_band
+    states the margin.
     """
-    if lead.shape[0] <= last.shape[0]:  # fold m into the operand with fewer rows
-        u = (lead * m) @ last.T
-    else:
-        u = lead @ (last * m).T
+    u = (lead * m) @ last.T
     u += 0.5 * np.sum(m)
     u *= 1.0 + (m.size + d + 1) * 2.0**-52
     return u
@@ -208,15 +205,16 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
 
     The product skips sample points whose weights on a tile all round to 0.
     The sample is sorted by its first coordinate, which tiles cut finest,
-    and the counts' columns with it.  Each tile's first factor is scaled by
-    2^F: a power of two scales exactly, and the products of any weight that
-    can round to nonzero stay normal, so they are the scaled weights' bits.
-    The product of a point's per-axis factor maxima, in
-    _tile_weights' order, bounds its scaled weights on the tile, since
-    rounded products are monotone; where it is at most 1/2 they all round
-    to 0 (ties go to even).  So each tile's product runs over the sorted
-    range between the first and last point with a larger bound, a tile
-    without any is skipped, and the exact sums do not change.  Each
+    and the counts' columns with it.  A tile's weight at its point (a, b) is
+    lead[a] * last[b], leading-axes weights times the last axis' factor
+    (_grid_tiles).  lead is scaled by 2^F in place: a power of two scales
+    exactly, and the products of any weight that can round to nonzero stay
+    normal, so they are the scaled weights' bits.  A point's largest lead
+    entry times its largest last factor bounds its scaled weights on the
+    tile, since rounded products are monotone; where it is at most 1/2 they
+    all round to 0 (ties go to even).  So each tile's product runs over the
+    sorted range between the first and last point with a larger bound, a
+    tile without any is skipped, and the exact sums do not change.  Each
     replicate's maximum is divided by 2^F once at the end, which by
     monotone rounding equals dividing each tile's.  So the band has the bits
     of the plain product over every point.
@@ -229,19 +227,20 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     leaves every maximum at or above q as it is and lifts none below q past
     q, so q does not change; q only rises, so that holds in any tile order.
     So a tile's product takes only the points whose float bound U_g >= T_g
-    exceeds the running q, and their weight rows are built from the leading
-    axes' weights (_tile_weights) times the last axis' factor, the
-    weights' bits.  U comes from one contraction of those two operands
-    (_deviation_bound): U_g = (sum_i m_i w_gi + sum_i m_i / 2)(1 + (k + d + 1) 2^-52).
+    exceeds the running q, and their weight rows are last rows times their
+    lead row, the weights' bits.  U comes from one contraction of lead and
+    last (_deviation_bound): U_g = (sum_i m_i w_gi + sum_i m_i / 2)(1 + (k + d + 1) 2^-52).
     The half-sum covers rint(x) <= x + 1/2, and any product that underflows,
-    whose weight rounds to 0.  The relative margin covers the rounding: the
-    float sum is within k + d - 1 roundings of sum_i m_i prod_j f_gij (d per
-    term, k - 1 adding), each w_gi within d - 1 of prod_j f_gij, and two
-    more apply the margin; k + 2d roundings of relative 2^-53 at most, which
-    (k + d + 1) 2^-52 covers with room for their second-order terms.  The
-    sum of the integers m_i is exact below 2^53.  Before any resampling,
-    raises ValueError for bad alpha or B, and unless `axes` holds one
-    non-empty, finite 1-d axis per coordinate.
+    whose weight rounds to 0; so too a lead entry subnormal before scaling,
+    where scaling lead and scaling one factor differ: its weights are below
+    2^F tiny and round to 0 either way.  The relative margin covers the
+    rounding: the float sum is within k + d - 1 roundings of
+    sum_i m_i prod_j f_gij (d per term, k - 1 adding), each w_gi within
+    d - 1 of prod_j f_gij, and two more apply the margin; k + 2d roundings
+    of relative 2^-53 at most, which (k + d + 1) 2^-52 covers with room for
+    their second-order terms.  The sum of the integers m_i is exact below
+    2^53.  Before any resampling, raises ValueError for bad alpha or B, and
+    unless `axes` holds one non-empty, finite 1-d axis per coordinate.
     """
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
@@ -258,16 +257,13 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     del draw
     grid = 2.0 ** (53 - (2 * n - 1).bit_length())  # 2^F (_exact_deviations)
     dev = np.zeros(B)  # per replicate, max |deviation| * grid / norm over the tiles so far
-    for _, factors in tiles:
-        factors[0] *= grid  # exact; weights that can round to nonzero keep their scaled bits
-        # per point, its factor maxima multiplied in _tile_weights' order bound its weights
-        top = functools.reduce(np.multiply, [f.max(axis=0) for f in factors])
-        kept = np.flatnonzero(top > 0.5)
+    for _, lead, last in tiles:
+        lead *= grid  # exact; weights that can round to nonzero keep their scaled bits
+        kept = np.flatnonzero(lead.max(axis=0) * last.max(axis=0) > 0.5)
         if kept.size:
             cols = slice(kept[0], kept[-1] + 1)
-            *lead, last = [f[:, cols] for f in factors]
-            lead = _tile_weights([np.ones((1, last.shape[1])), *lead])
-            bound = _deviation_bound(lead, last, m[cols], len(factors))
+            lead, last = lead[:, cols], last[:, cols]
+            bound = _deviation_bound(lead, last, m[cols], model.d)
             lead_row, last_row = np.nonzero(bound > ceil_order_statistic(dev, 1.0 - alpha))
             if lead_row.size:
                 w = last[last_row]
@@ -277,8 +273,8 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
                 block = _exact_deviations(counts[:, cols], w)
                 np.maximum(dev, np.abs(block, out=block).max(axis=1), out=dev)
                 del w, block
-            del lead, last, bound
-        del factors  # free this tile, with its product above, before the generator builds the next
+            del bound
+        del lead, last  # free this tile, with its product above, before the generator builds the next
     return model._norm * (ceil_order_statistic(dev, 1.0 - alpha) / grid)
 
 

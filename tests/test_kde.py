@@ -351,7 +351,8 @@ def test_grid_factors_flush_to_exact_zero():
     axes = default_axes(pts, 1.0)
     exponent = -0.5 * (axes[0][:, None] - pts[:, 0]) ** 2
     assert np.any((exponent > -745.0) & (exponent < np.log(tiny)))
-    factors = np.concatenate([f.ravel() for _, fs in m._grid_tiles(axes) for f in fs])
+    # on 2-d, lead's rows are the axis-0 factors
+    factors = np.concatenate([f.ravel() for _, lead, last in m._grid_tiles(axes) for f in (lead, last)])
     assert np.any(factors == 0.0) and not np.any((factors > 0.0) & (factors < tiny))
     f = density_grid(m, axes)
     ref = np.concatenate([grid_density(pts, 1.0, (axes[0][lo:lo + 16], axes[1]))

@@ -31,6 +31,15 @@ def sort_pairs(pairs):
     return pairs[np.lexsort((pairs[:, 0], -pairs[:, 1], -life))]
 
 
+def blobs_3d():
+    """persist_3d's input: 600 points in three 3-d blobs."""
+    return generate(GeneratorSpec(
+        family="mixture", n=600, seed=0,
+        params={"means": [[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]],
+                "cov_diags": [[0.25] * 3] * 3},
+    ))
+
+
 def persistence_oracle(values):
     """Re-run the filtration with scipy.ndimage doing the connectivity.
 
@@ -359,20 +368,37 @@ class TestBand:
 
     def test_product_skips_points_on_blobs(self, monkeypatch):
         # persist_3d's input with fewer replicates (the same 320 tiles): the tile
-        # products take about three quarters of their tiles' (tile, sample point)
-        # pairs and, skipping grid points, 0.087 of the plain product's multiply-adds
-        data = generate(GeneratorSpec(
-            family="mixture", n=600, seed=0,
-            params={"means": [[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]],
-                    "cov_diags": [[0.25] * 3] * 3},
-        ))
+        # products take 0.384 of all 320 tiles' (tile, sample point) pairs and,
+        # skipping grid points, 0.087 of the plain product's multiply-adds
+        data = blobs_3d()
         _, products = self.spied_products(monkeypatch)
         bootstrap_band(data, 0.8, default_axes(data, 0.8, resolution=64), alpha=0.1, B=20, seed=0)
         widths = [k for _, _, k in products]
         assert len(widths) <= 320
-        assert sum(widths) < 0.75 * 600 * len(widths), sum(widths) / (600 * len(widths))
+        assert sum(widths) < 0.39 * 600 * 320, sum(widths) / (600 * 320)
         madds = sum(b * g * k for b, g, k in products)
         assert madds < 0.15 * 20 * 64**3 * 600, madds / (20 * 64**3 * 600)
+
+    def test_last_axis_factor_made_once_per_pass(self, monkeypatch):
+        # persist_3d's input: its 320 tiles of 1 x 13 x 64 points share one span of
+        # the last axis, so each pass makes that 64-row factor once, and the leading
+        # axes' factors 64 x (1 + 64) rows; per tile that would be 24,896 rows
+        data = blobs_3d()
+        axes = default_axes(data, 0.8, resolution=64)
+        made = []
+
+        def factor_spy(model, j, a, half_sq):
+            made.append((j, a.size))
+            return factor(model, j, a, half_sq)
+
+        factor = DensityModel._axis_factor
+        monkeypatch.setattr(DensityModel, "_axis_factor", factor_spy)
+        for evaluate in (lambda: density_grid(DensityModel(data, 0.8), axes),
+                         lambda: bootstrap_band(data, 0.8, axes, alpha=0.1, B=20, seed=0)):
+            made.clear()
+            evaluate()
+            assert [j for j, _ in made].count(2) == 1, made
+            assert sum(t for _, t in made) < 5000, sum(t for _, t in made)
 
     def test_alpha_domain(self):
         data = np.zeros((5, 1))
