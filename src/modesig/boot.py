@@ -83,6 +83,12 @@ def _check_replicates(B) -> None:
         raise ValueError(f"B must be >= 1 and an integer, got {B!r}")
 
 
+def _check_seed(seed, key: str) -> None:
+    """Raise ValueError naming `key` unless seed, a base seed of the draws, is an integer >= 0."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"{key} must be >= 0 and an integer, got {seed!r}")
+
+
 def _resample_counts(n: int, B: int, seed: int) -> np.ndarray:
     """(B, n) multiplicity matrix: row b counts each data index in resample b.
 
@@ -138,13 +144,14 @@ def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[Boot
     B : int
         Number of bootstrap replicates (>= 1).
     seed : int
-        Base seed; replicate b uses the stream keyed by (seed, b).
+        Base seed (>= 0); replicate b uses the stream keyed by (seed, b).
 
     Each replicate's count vector depends only on (seed, b), so the draws
-    at a point do not depend on which other points share the call.  B and
-    the points are checked before any resampling.
+    at a point do not depend on which other points share the call.  B, seed
+    and the points are checked before any resampling.
     """
     _check_replicates(B)
+    _check_seed(seed, "seed")
     model = DensityModel(Y, h)
     points = [np.asarray(p, dtype=np.float64) for p in points]
     for i, at in enumerate(points):

@@ -41,6 +41,8 @@ class ModeTestConfig:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         boot._check_replicates(self.B)
+        boot._check_seed(self.split_seed, "split_seed")
+        boot._check_seed(self.boot_seed, "boot_seed")
         if not (self.h > 0.0 and np.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
 
@@ -61,8 +63,9 @@ def split(data, seed: int):
     """Random half split: X gets floor(n/2) points, Y the rest.
 
     The partition is a seeded uniform permutation; as index sets X and Y
-    are disjoint and cover the sample.
+    are disjoint and cover the sample.  The seed must be an integer >= 0.
     """
+    boot._check_seed(seed, "seed")
     pts = as_points(data)
     n = pts.shape[0]
     if n < 2:

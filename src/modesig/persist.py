@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boot import ceil_order_statistic, _check_replicates, _resample_counts
+from .boot import ceil_order_statistic, _check_replicates, _check_seed, _resample_counts
 from .kde import DensityModel, as_points
 
 __all__ = [
@@ -239,13 +239,15 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     d - 1 of prod_j f_gij, and two more apply the margin; k + 2d roundings
     of relative 2^-53 at most, which (k + d + 1) 2^-52 covers with room for
     their second-order terms.  The sum of the integers m_i is exact below
-    2^53.  Before any resampling, raises ValueError for bad alpha or B, and
-    unless `axes` holds one non-empty, finite 1-d axis per coordinate.
+    2^53.  Before any resampling, raises ValueError for bad alpha, B or
+    seed, and unless `axes` holds one non-empty, finite 1-d axis per
+    coordinate.
     """
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
     _check_replicates(B)
+    _check_seed(seed, "seed")
     n = pts.shape[0]
     order = np.argsort(pts[:, 0], kind="stable")
     model = DensityModel(pts[order], h)

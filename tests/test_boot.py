@@ -141,6 +141,15 @@ class TestDraws:
         with pytest.raises(ValueError, match=message):
             bootstrap_hessian_batch(Y, 1.0, points, B=B, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_bad_seed_refused_before_resampling(self, monkeypatch, seed):
+        def no_draw(*args):
+            raise AssertionError("counts drawn before the seed was checked")
+        monkeypatch.setattr(boot, "_resample_counts", no_draw)
+        Y = np.random.default_rng(2).normal(size=(20, 2))
+        with pytest.raises(ValueError, match=f"seed must be >= 0 and an integer, got {seed!r}"):
+            bootstrap_hessian_batch(Y, 1.0, [np.zeros(2)], B=5, seed=seed)
+
 
 class TestQuantile:
     def test_all_draws_at_center_give_zero(self):

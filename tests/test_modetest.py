@@ -29,6 +29,12 @@ def trimodal(n, seed):
 
 
 class TestSplit:
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        # None would draw a fresh, unreproducible split
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+            split(np.arange(10.0)[:, None], seed=seed)
+
     def test_sizes(self):
         X, Y = split(np.arange(10.0)[:, None], seed=0)
         assert X.shape == (5, 1) and Y.shape == (5, 1)
@@ -72,6 +78,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="B must be >= 1 and an integer"):
                 ModeTestConfig(h=1.0, B=B)
         assert ModeTestConfig(h=1.0, B=np.int64(3)).B == 3
+
+    @pytest.mark.parametrize("key", ["split_seed", "boot_seed"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seeds_validated(self, key, seed):
+        # refused at construction, before stage 1 runs at any bandwidth
+        with pytest.raises(ValueError, match=f"{key} must be >= 0 and an integer"):
+            ModeTestConfig(h=1.0, **{key: seed})
+        assert getattr(ModeTestConfig(h=1.0, **{key: np.int64(3)}), key) == 3
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):

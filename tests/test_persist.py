@@ -411,6 +411,14 @@ class TestBand:
         with pytest.raises(ValueError, match="B must be >= 1"):
             bootstrap_band(data, 1.0, self.grid_1d(), alpha=0.1, B=B, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_seed_domain(self, monkeypatch, seed):
+        def no_draw(*args):
+            raise AssertionError("counts drawn before the seed was checked")
+        monkeypatch.setattr(persist, "_resample_counts", no_draw)
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+            bootstrap_band(np.zeros((5, 1)), 1.0, self.grid_1d(), alpha=0.1, B=5, seed=seed)
+
 
 @pytest.mark.parametrize("bad", [{"B": 0}, {"alpha": 1.0}])
 def test_run_persistence_checks_band_arguments_before_grid_work(monkeypatch, bad):
