@@ -15,14 +15,12 @@ once, by the code that enforces it:
   (query weights, Hessian terms, and the grid and band factors of _axis_factor)
 - cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
 - BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM)
-- grids from per-axis factors, in bounded tiles that share each last-axis factor: _grid_tiles
+- grids from per-axis factors, made once per span of each axis, in bounded tiles: _grid_tiles
 - the persistence band's exact product: persist._exact_deviations, and the sample
   points and grid points it skips: persist.bootstrap_band
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -280,36 +278,37 @@ class DensityModel:
         kernel factors over the axes, exp(-||g - X_i||^2 / 2h^2) =
         prod_j exp(-(g_j - X_ij)^2 / 2h^2), so the weights take
         (t_1 + ... + t_d) n exponentials, not t_1 ... t_d n.  lead is fresh
-        for each tile, and the caller may scale it in place.  last is made
-        once per span of the last axis, the outermost loop, and is shared
-        read-only by that span's tiles, then freed before the next is made.
-        A tile of t_1 x ... x t_d points holds at most
-        _BLOCK_ENTRIES // (max(n, width) + d * n) of them, so its weights (or
-        a (width, tile) product of them) and its factors stay within the
-        budget together.  Tiles take whole runs of the last axes first; the
-        layout depends only on the grid shape, n and width.  The axes are
-        checked in this call, before any tile is built (_as_axes).
+        for each tile, and the caller may scale it in place.  One recursion
+        over the axes, the last outermost and axis 0 innermost (_tiles), makes
+        each span's factor once, read-only, keeps it while the tiles within
+        the span are yielded and frees it before the next span's is made: at
+        most one factor per axis is alive.  A tile of t_1 x ... x t_d points
+        holds at most _BLOCK_ENTRIES // (max(n, width) + d * n) of them, so
+        its weights (or a (width, tile) product of them) and its factors stay
+        within the budget together.  Tiles take whole runs of the last axes
+        first; the layout depends only on the grid shape, n and width.  The
+        axes are checked in this call, before any tile is built (_as_axes).
         """
         axes = _as_axes(axes, self.d)
-        tile, left = [], max(1, _BLOCK_ENTRIES // (max(self.n, width) + self.d * self.n))
-        for a in reversed(axes):
-            tile.insert(0, min(a.size, left))
-            left //= tile[0]
-        spans = [[slice(lo, lo + t) for lo in range(0, a.size, t)] for a, t in zip(axes, tile)]
         half_sq = [np.max((a - c) ** 2) / (2.0 * self.h**2) for a, c in zip(axes, self._center)]
+        left = max(1, _BLOCK_ENTRIES // (max(self.n, width) + self.d * self.n))
+        return self._tiles(axes, half_sq, self.d - 1, left, (), ())
 
-        def tiles():  # a generator's body runs at the first tile: the checks above stay eager
-            for s in spans[-1]:
-                last = self._axis_factor(self.d - 1, axes[-1][s], half_sq[-1])
-                last.setflags(write=False)
-                for box in itertools.product(*spans[:-1]):
-                    lead = np.ones((1, self.n))
-                    for j, b in enumerate(box):
-                        f = self._axis_factor(j, axes[j][b], half_sq[j])
-                        lead = (lead[:, None, :] * f).reshape(-1, self.n)
-                    yield (*box, s), lead, last
-                del last  # free this span's factor before the next is made
-        return tiles()
+    def _tiles(self, axes, half_sq, j, left, box, factors):
+        """The tiles of _grid_tiles within `box`, spans of axes j + 1 on with these
+        `factors`, taking at most `left` points of axis j per span; j = -1 is one tile."""
+        if j < 0:  # returns after its one tile, freeing lead before the next span's factor
+            lead = np.ones((1, self.n))
+            for f in factors[:-1]:
+                lead = (lead[:, None, :] * f).reshape(-1, self.n)
+            yield box, lead, factors[-1]
+            return
+        t = min(axes[j].size, left)
+        for s in (slice(lo, lo + t) for lo in range(0, axes[j].size, t)):
+            f = self._axis_factor(j, axes[j][s], half_sq[j])
+            f.setflags(write=False)
+            yield from self._tiles(axes, half_sq, j - 1, left // t, (s, *box), (f, *factors))
+            del f  # free this span's factor before the next is made
 
     def _kept_cells(self, q: np.ndarray) -> np.ndarray:
         """The cells each query row keeps: an (m, 2) matrix of the first and one

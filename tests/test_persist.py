@@ -1,6 +1,8 @@
 """Superlevel-set persistence against an independent connected-components oracle."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -399,6 +401,46 @@ class TestBand:
             evaluate()
             assert [j for j, _ in made].count(2) == 1, made
             assert sum(t for _, t in made) < 5000, sum(t for _, t in made)
+
+    def test_each_axis_factor_made_once_per_span(self, monkeypatch):
+        # persist_3d's input: one span of axis 2, five spans of axis 1 (13 points
+        # each, the last 12) and, within each, 64 one-point spans of axis 0.  Each
+        # span's factor is made once: 64 + 64 + 320 = 448 rows per pass, where
+        # remaking axis 1's factors for every axis-0 value made 4,480
+        data = blobs_3d()
+        axes = default_axes(data, 0.8, resolution=64)
+        rows = {}
+
+        def factor_spy(model, j, a, half_sq):
+            rows[j] = rows.get(j, 0) + a.size
+            return factor(model, j, a, half_sq)
+
+        factor = DensityModel._axis_factor
+        monkeypatch.setattr(DensityModel, "_axis_factor", factor_spy)
+        for evaluate in (lambda: density_grid(DensityModel(data, 0.8), axes),
+                         lambda: bootstrap_band(data, 0.8, axes, alpha=0.1, B=20, seed=0)):
+            rows.clear()
+            evaluate()
+            assert rows == {0: 320, 1: 64, 2: 64}, rows
+
+    def test_tiles_keep_no_model_alive(self):
+        # with the cyclic collector off, a model is freed as soon as its last
+        # reference goes; a tile generator that called itself through its own
+        # closure would form a cycle holding the model until a collection
+        data = blobs_3d()
+        axes = default_axes(data, 0.8, resolution=16)
+        gc.disable()
+        try:
+            model = DensityModel(data, 0.8)
+            alive = weakref.ref(model)
+            density_grid(model, axes)
+            del model
+            assert alive() is None
+            models = sum(isinstance(o, DensityModel) for o in gc.get_objects())
+            bootstrap_band(data, 0.8, axes, alpha=0.1, B=20, seed=0)
+            assert sum(isinstance(o, DensityModel) for o in gc.get_objects()) == models
+        finally:
+            gc.enable()
 
     def test_alpha_domain(self):
         data = np.zeros((5, 1))
