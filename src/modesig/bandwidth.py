@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kde import as_points
+from .kde import _check_integer, as_points
 from .modetest import ModeTestConfig, _mode_tests, split
 
 __all__ = ["BandwidthScan", "default_grid", "select_bandwidth", "scan"]
@@ -40,10 +40,10 @@ class BandwidthScan:
 
 
 def default_grid(points, count: int = 30) -> np.ndarray:
-    """Geometric h grid spanning [GRID_LO, GRID_HI] times the largest marginal sd."""
+    """Geometric h grid of `count` values, an integer >= 2, spanning [GRID_LO, GRID_HI]
+    times the largest marginal sd."""
+    _check_integer(count, "count", 2)
     pts = as_points(points)
-    if count < 2:
-        raise ValueError("grid needs at least 2 bandwidths")
     if pts.shape[0] < 2:
         raise ValueError("need at least 2 points to set a default grid")
     sigma = float(np.max(np.std(pts, axis=0, ddof=1)))

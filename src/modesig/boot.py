@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kde import DensityModel
+from .kde import DensityModel, _check_integer
 from .modes import ModeCandidate
 
 __all__ = [
@@ -75,18 +75,6 @@ class EigenPortrait:
 # --- resampling core ---------------------------------------------------------
 
 _COUNT_BLOCK = 1 << 18  # count entries converted to float64 at a time in _boot: 2 MB
-
-
-def _check_replicates(B) -> None:
-    """Raise ValueError unless B, the number of bootstrap replicates, is an integer >= 1."""
-    if not (isinstance(B, (int, np.integer)) and B >= 1):
-        raise ValueError(f"B must be >= 1 and an integer, got {B!r}")
-
-
-def _check_seed(seed, key: str) -> None:
-    """Raise ValueError naming `key` unless seed, a base seed of the draws, is an integer >= 0."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"{key} must be >= 0 and an integer, got {seed!r}")
 
 
 def _resample_counts(n: int, B: int, seed: int) -> np.ndarray:
@@ -150,8 +138,8 @@ def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[Boot
     at a point do not depend on which other points share the call.  B, seed
     and the points are checked before any resampling.
     """
-    _check_replicates(B)
-    _check_seed(seed, "seed")
+    _check_integer(B, "B", 1)
+    _check_integer(seed, "seed", 0)
     model = DensityModel(Y, h)
     points = [np.asarray(p, dtype=np.float64) for p in points]
     for i, at in enumerate(points):

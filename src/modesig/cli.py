@@ -16,7 +16,7 @@ import numpy as np
 
 from .bandwidth import default_grid, scan
 from .datasets import FAMILIES, GeneratorSpec, generate
-from .kde import as_points
+from .kde import _check_integer, as_points
 from .modetest import ModeTestConfig, run_mode_test
 from .persist import run_persistence, significant_pairs
 from .report import emit_report
@@ -204,6 +204,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "seed" in vars(args):  # every command but simulate; checked before any data is read
+            _check_integer(args.seed, "--seed", 0)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

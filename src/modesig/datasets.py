@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kde import _check_integer
+
 __all__ = ["GeneratorSpec", "generate", "FAMILIES"]
 
 FAMILIES = ("gaussian", "mixture", "ring", "singular-mixture")
@@ -33,10 +35,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_integer(self.n, "n", 1)
+        _check_integer(self.seed, "seed", 0)
 
     @classmethod
     def from_dict(cls, family: str, payload: dict) -> "GeneratorSpec":

@@ -65,6 +65,12 @@ def as_points(data) -> np.ndarray:
     return pts
 
 
+def _check_integer(value, key: str, low: int) -> None:
+    """Raise ValueError naming `key` unless value is an integer >= low; a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{key} must be >= {low} and an integer, got {value!r}")
+
+
 def _as_query(x, d: int) -> tuple[np.ndarray, bool]:
     """Coerce a query to (m, d); second value says whether input was a single point."""
     q = np.asarray(x, dtype=np.float64)
@@ -296,7 +302,9 @@ class DensityModel:
 
     def _tiles(self, axes, half_sq, j, left, box, factors):
         """The tiles of _grid_tiles within `box`, spans of axes j + 1 on with these
-        `factors`, taking at most `left` points of axis j per span; j = -1 is one tile."""
+        `factors`, taking at most `left` points of axis j per span; j = -1 is one tile.
+        A method: a nested generator calling itself by name would form a reference
+        cycle through its closure that keeps the model alive until a gc collection."""
         if j < 0:  # returns after its one tile, freeing lead before the next span's factor
             lead = np.ones((1, self.n))
             for f in factors[:-1]:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kde import DensityModel, _row_blocks, as_points
+from .kde import DensityModel, _check_integer, _row_blocks, as_points
 
 __all__ = ["MeanShiftOptions", "ModeCandidate", "ClusterAssignment", "find_modes"]
 
@@ -60,10 +60,13 @@ class MeanShiftOptions:
     max_iter caps a trajectory's sweeps, each one evaluation of the mean
     shift at its current point, rejected extrapolations included.  A
     trajectory still moving by STEP_TOL * h or more at its last sweep is
-    flagged non-converged.
+    flagged non-converged.  It must be an integer >= 1.
     """
 
     max_iter: int = 500
+
+    def __post_init__(self):
+        _check_integer(self.max_iter, "max_iter", 1)
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,7 @@ def find_modes(
 
     Kernel weights and endpoint comparisons are blocked by one memory budget.
     """
-    max_iter = int((opts or MeanShiftOptions()).max_iter)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = (opts or MeanShiftOptions()).max_iter
     step_tol, merge_tol = STEP_TOL * model.h, MERGE_TOL * model.h
     mesh = model.points if mesh is None else as_points(mesh)
     if mesh.shape[1] != model.d:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import boot
 from .boot import EigenPortrait, esp_quantile, eigen_rectangles
-from .kde import DensityModel, as_points
+from .kde import DensityModel, _check_integer, as_points
 from .modes import ClusterAssignment, MeanShiftOptions, ModeCandidate, find_modes
 
 __all__ = ["ModeTestConfig", "ModeTestReport", "split", "mode_test_on_split", "run_mode_test"]
@@ -40,9 +40,9 @@ class ModeTestConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        boot._check_replicates(self.B)
-        boot._check_seed(self.split_seed, "split_seed")
-        boot._check_seed(self.boot_seed, "boot_seed")
+        _check_integer(self.B, "B", 1)
+        _check_integer(self.split_seed, "split_seed", 0)
+        _check_integer(self.boot_seed, "boot_seed", 0)
         if not (self.h > 0.0 and np.isfinite(self.h)):
             raise ValueError("h must be positive and finite")
 
@@ -65,7 +65,7 @@ def split(data, seed: int):
     The partition is a seeded uniform permutation; as index sets X and Y
     are disjoint and cover the sample.  The seed must be an integer >= 0.
     """
-    boot._check_seed(seed, "seed")
+    _check_integer(seed, "seed", 0)
     pts = as_points(data)
     n = pts.shape[0]
     if n < 2:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boot import ceil_order_statistic, _check_replicates, _check_seed, _resample_counts
-from .kde import DensityModel, as_points
+from .boot import ceil_order_statistic, _resample_counts
+from .kde import DensityModel, _check_integer, as_points
 
 __all__ = [
     "GridFunction",
@@ -78,8 +78,7 @@ def default_axes(points, h: float, resolution: int | None = None) -> tuple:
     if not (h > 0.0 and np.isfinite(h)):
         raise ValueError(f"h must be positive and finite, got {h!r}")
     res = _DEFAULT_RES[d] if resolution is None else resolution
-    if not (isinstance(res, (int, np.integer)) and res >= 2):
-        raise ValueError(f"resolution must be an integer >= 2, got {res!r}")
+    _check_integer(res, "resolution", 2)
     return tuple(
         np.linspace(pts[:, j].min() - 3.0 * h, pts[:, j].max() + 3.0 * h, res)
         for j in range(d)
@@ -246,8 +245,8 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     pts = as_points(data)
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    _check_replicates(B)
-    _check_seed(seed, "seed")
+    _check_integer(B, "B", 1)
+    _check_integer(seed, "seed", 0)
     n = pts.shape[0]
     order = np.argsort(pts[:, 0], kind="stable")
     model = DensityModel(pts[order], h)

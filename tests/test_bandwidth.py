@@ -146,6 +146,14 @@ class TestScan:
             scan(bimodal(100, seed=6), grid=np.array([0.5, 1.0]), cfg=ModeTestConfig(h=1.0, B=2.5))
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
+def test_default_grid_count_must_be_an_integer(count):
+    # 2.5 and 3.0 once failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match=f"count must be >= 2 and an integer, got {count!r}"):
+        default_grid(bimodal(20, seed=0), count=count)
+    assert default_grid(bimodal(20, seed=0), count=np.int64(3)).size == 3
+
+
 def test_two_mode_data_selects_a_two_mode_bandwidth():
     # across seeds the curve should peak at N = 2, with the undersmoothed
     # left end full of uncertifiable candidates and the oversmoothed right

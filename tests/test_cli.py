@@ -93,12 +93,28 @@ class TestSimulate:
     def test_negative_seed_named(self, spec_file, capsys):
         rc = main(["simulate", "--family", "gaussian", "--spec", spec_file({"n": 5, "seed": -1})])
         assert rc == 2
-        assert "error: seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert "error: seed must be >= 0 and an integer, got -1" in capsys.readouterr().err
+
+    def test_boolean_n_refused(self, spec_file, capsys):
+        # {"n": true} once died with an uncaught TypeError traceback
+        rc = main(["simulate", "--family", "gaussian", "--spec", spec_file({"n": True})])
+        assert rc == 2
+        assert "error: n must be >= 1 and an integer, got True" in capsys.readouterr().err
 
     def test_mixture_without_means(self, spec_file, capsys):
         rc = main(["simulate", "--family", "mixture", "--spec", spec_file({"n": 10})])
         assert rc == 2
         assert "error: mixture spec must contain 'means'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["test", "--h", "1.0"], ["persist", "--h", "1.0"], ["bandwidth"]],
+                         ids=["test", "persist", "bandwidth"])
+def test_negative_seed_names_the_flag(tmp_path, capsys, command):
+    # the flag, not the library's split_seed or seed, and before the input is read:
+    # the file does not exist
+    rc = main([*command, "--input", str(tmp_path / "missing.csv"), "--seed", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0 and an integer, got -1\n"
 
 
 class TestTestCommand:

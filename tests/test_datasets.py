@@ -22,7 +22,7 @@ class TestSpec:
 
     def test_n_must_be_an_integer(self):
         # numpy's TypeError came from inside the generator
-        with pytest.raises(ValueError, match="n must be an integer >= 1, got 2.5"):
+        with pytest.raises(ValueError, match="n must be >= 1 and an integer, got 2.5"):
             generate(GeneratorSpec(family="gaussian", n=2.5))
 
     @pytest.mark.parametrize("payload, key", [({"n": 2.7, "seed": 1.9}, "n"),
@@ -42,7 +42,7 @@ class TestSpec:
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
             GeneratorSpec(family="gaussian", n=5, seed=seed)
 
     @pytest.mark.parametrize("family, params, key", [

@@ -66,6 +66,19 @@ class TestMeanShiftStep:
             mean_shift_step(m, [1e6])
 
 
+class TestOptions:
+    @pytest.mark.parametrize("max_iter", [2.7, 3.0, "3", True, 0])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # 2.7 once ran 2 sweeps without a word, and "3" was accepted
+        with pytest.raises(ValueError, match=f"max_iter must be >= 1 and an integer, got {max_iter!r}"):
+            MeanShiftOptions(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        m = DensityModel(two_cluster_data(), 1.0)
+        cands, _ = find_modes(m, opts=MeanShiftOptions(max_iter=np.int64(500)))
+        assert len(cands) == 2
+
+
 class TestFindModes:
     def test_single_tight_cluster_gives_one_mode(self):
         rng = np.random.default_rng(1)

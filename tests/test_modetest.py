@@ -79,6 +79,11 @@ class TestConfig:
                 ModeTestConfig(h=1.0, B=B)
         assert ModeTestConfig(h=1.0, B=np.int64(3)).B == 3
 
+    def test_boolean_B_refused(self):
+        # B=True was accepted as one replicate
+        with pytest.raises(ValueError, match="B must be >= 1 and an integer, got True"):
+            ModeTestConfig(h=1.0, B=True)
+
     @pytest.mark.parametrize("key", ["split_seed", "boot_seed"])
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_seeds_validated(self, key, seed):

@@ -522,8 +522,8 @@ class TestGridHelpers:
         (0.0, None, "h must be positive and finite"),
         (np.nan, None, "h must be positive and finite"),
         (np.inf, None, "h must be positive and finite"),
-        (1.0, 2.7, "resolution must be an integer >= 2, got 2.7"),
-        (1.0, 16.0, "resolution must be an integer >= 2"),
+        (1.0, 2.7, "resolution must be >= 2 and an integer, got 2.7"),
+        (1.0, 16.0, "resolution must be >= 2 and an integer"),
     ], ids=["negative_h", "zero_h", "nan_h", "inf_h", "fractional_resolution", "float_resolution"])
     def test_bad_bandwidth_or_resolution_rejected(self, h, resolution, message):
         # a negative h once gave axes narrower than the data, reversed on 50 points
