@@ -204,8 +204,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "seed" in vars(args):  # every command but simulate; checked before any data is read
-            _check_integer(args.seed, "--seed", 0)
+        # integer flags, named as typed, checked before any data is read (simulate has none)
+        for key, flag, low in (("seed", "--seed", 0), ("grid_count", "--grid-count", 2),
+                               ("grid_res", "--grid-res", 2)):
+            if vars(args).get(key) is not None:  # --grid-res defaults to None: per dimension
+                _check_integer(vars(args)[key], flag, low)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

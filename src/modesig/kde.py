@@ -17,7 +17,8 @@ once, by the code that enforces it:
 - BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM)
 - grids from per-axis factors, made once per span of each axis, in bounded tiles: _grid_tiles
 - the persistence band's exact product: persist._exact_deviations, and the sample
-  points and grid points it skips: persist.bootstrap_band
+  points and grid points it skips, by a bound from the weights and one interpolated
+  along the last axis between exact anchor points: persist.bootstrap_band
 """
 
 from __future__ import annotations
@@ -288,34 +289,40 @@ class DensityModel:
         over the axes, the last outermost and axis 0 innermost (_tiles), makes
         each span's factor once, read-only, keeps it while the tiles within
         the span are yielded and frees it before the next span's is made: at
-        most one factor per axis is alive.  A tile of t_1 x ... x t_d points
-        holds at most _BLOCK_ENTRIES // (max(n, width) + d * n) of them, so
-        its weights (or a (width, tile) product of them) and its factors stay
-        within the budget together.  Tiles take whole runs of the last axes
-        first; the layout depends only on the grid shape, n and width.  The
-        axes are checked in this call, before any tile is built (_as_axes).
+        most one factor per axis is alive.  A tile and the factors it is built
+        from stay within _BLOCK_ENTRIES entries together: n + width per point
+        of the tile, for its weight rows and a (width, tile) product of them
+        alive at once, n per row of each leading axis' factor, and 2n per row
+        of the last axis' factor, the factor and an error matrix the caller
+        may make from it (persist.bootstrap_band).  Tiles take whole runs of the last axes first; the layout
+        depends only on the grid shape, n and width.  The axes are checked in
+        this call, before any tile is built (_as_axes).
         """
         axes = _as_axes(axes, self.d)
         half_sq = [np.max((a - c) ** 2) / (2.0 * self.h**2) for a, c in zip(axes, self._center)]
-        left = max(1, _BLOCK_ENTRIES // (max(self.n, width) + self.d * self.n))
-        return self._tiles(axes, half_sq, self.d - 1, left, (), ())
+        return self._tiles(axes, half_sq, self.d - 1, _BLOCK_ENTRIES, self.n + width, (), ())
 
-    def _tiles(self, axes, half_sq, j, left, box, factors):
+    def _tiles(self, axes, half_sq, j, left, per_point, box, factors):
         """The tiles of _grid_tiles within `box`, spans of axes j + 1 on with these
-        `factors`, taking at most `left` points of axis j per span; j = -1 is one tile.
-        A method: a nested generator calling itself by name would form a reference
-        cycle through its closure that keeps the model alive until a gc collection."""
+        `factors`, within `left` entries for the factors of axes j and below and the
+        tile's points, of which each point of axis j brings `per_point` entries' worth;
+        j = -1 is one tile.  Each span of axis j leaves room for one point of every
+        axis below it.  A method: a nested generator calling itself by name would form
+        a reference cycle through its closure that keeps the model alive until a gc
+        collection."""
         if j < 0:  # returns after its one tile, freeing lead before the next span's factor
             lead = np.ones((1, self.n))
             for f in factors[:-1]:
                 lead = (lead[:, None, :] * f).reshape(-1, self.n)
             yield box, lead, factors[-1]
             return
-        t = min(axes[j].size, left)
+        rows = 2 if j == self.d - 1 else 1  # entries per factor row, in units of n
+        t = min(axes[j].size, max(1, (left - j * self.n) // (rows * self.n + per_point)))
         for s in (slice(lo, lo + t) for lo in range(0, axes[j].size, t)):
             f = self._axis_factor(j, axes[j][s], half_sq[j])
             f.setflags(write=False)
-            yield from self._tiles(axes, half_sq, j - 1, left // t, (s, *box), (f, *factors))
+            yield from self._tiles(axes, half_sq, j - 1, left - rows * t * self.n,
+                                   per_point * t, (s, *box), (f, *factors))
             del f  # free this span's factor before the next is made
 
     def _kept_cells(self, q: np.ndarray) -> np.ndarray:

@@ -117,6 +117,21 @@ def test_negative_seed_names_the_flag(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: --seed must be >= 0 and an integer, got -1\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    (["bandwidth", "--grid-count", "0", "--grid-min", "0.2", "--grid-max", "1.0"], "--grid-count must be >= 2 and an integer, got 0"),
+    (["bandwidth", "--grid-count", "1", "--grid-min", "0.2", "--grid-max", "1.0"], "--grid-count must be >= 2 and an integer, got 1"),
+    (["bandwidth", "--grid-count", "1"], "--grid-count must be >= 2 and an integer, got 1"),
+    (["persist", "--h", "1.0", "--grid-res", "1"], "--grid-res must be >= 2 and an integer, got 1"),
+], ids=["count_0_with_ends", "count_1_with_ends", "count_1", "grid_res_1"])
+def test_grid_flags_checked_before_input(tmp_path, capsys, command, message):
+    # a count of 0 with both ends once died with an IndexError traceback, and a count
+    # of 1 scanned one bandwidth; each is refused under the flag's own name, before the
+    # input is read: the file does not exist
+    rc = main([*command, "--input", str(tmp_path / "missing.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestTestCommand:
     def test_matches_library_run(self, tmp_path, spec_file):
         spec = spec_file({"n": 300, "seed": 2,

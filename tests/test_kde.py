@@ -445,10 +445,10 @@ class TestBlocking:
         m.gradient(q)
         assert m.pairs == 2 * 17 * 30
         # grids take their weights from per-axis factors, not _exp_weights;
-        # a budget of cap * (n + d n) entries makes tiles of at most cap
-        # points, which leave a ragged last tile along one axis, so a tile
+        # a budget of cap * (n + d n) entries makes tiles of 2, 3, 44 and 21
+        # points here, which leave a ragged last tile along one axis, so a tile
         # missed or taken twice moves some value off the oracle
-        for shape, cap in [((9,), 4), ((9, 11), 4), ((9, 11), 25), ((3, 5, 7), 14)]:
+        for shape, cap in [((9,), 4), ((9, 11), 4), ((9, 11), 25), ((3, 5, 7), 10)]:
             monkeypatch.setattr(kde, "_BLOCK_ENTRIES", cap * 30 * (1 + len(shape)))
             m = CountingModel(rng.normal(size=(30, len(shape))), 1.0)
             axes = tuple(np.linspace(-2.0 - j, 2.0 + j, r) for j, r in enumerate(shape))

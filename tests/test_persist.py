@@ -297,9 +297,9 @@ class TestBand:
         bounded, products = [], []
 
         def bound_spy(*args):
-            u = bound(*args)
+            u, e = bound(*args)
             bounded.append(u.size)
-            return u
+            return u, e
 
         def product_spy(dev_counts, w):
             products.append((dev_counts.shape[0], *w.shape))
@@ -311,10 +311,10 @@ class TestBand:
         return bounded, products
 
     @pytest.mark.parametrize("d, n, B, res, budget", [
-        (1, 200, 50, 128, 6 * 400),  # 6-point tiles
+        (1, 200, 50, 128, 6 * 400),  # 3-point tiles
         (2, 512, 40, 128, None),
         (2, 513, 40, 128, None),  # 2n - 1 gains a bit: the rounding grid halves
-        (3, 300, 400, 16, None),  # more replicates than points
+        (3, 300, 400, 16, 1 << 19),  # more replicates than points; 2 x 16 x 16-point tiles
     ])
     def test_equals_whole_grid_oracle(self, monkeypatch, d, n, B, res, budget):
         # two clusters 60 h apart along the first axis, so the tiles between them
@@ -330,14 +330,14 @@ class TestBand:
         band = bootstrap_band(data, h, axes, alpha=0.1, B=B, seed=d)
         assert band == bootstrap_band_reference(data, h, axes, alpha=0.1, B=B, seed=d)
         widths = [k for _, _, k in products]
-        assert 0 < len(widths) < tiles and max(widths) < n
+        assert 0 < len(bounded) < tiles and max(widths) < n
         # the bound skips grid points of the tiles the product takes
         assert sum(g for _, g, _ in products) < sum(bounded)
 
     def test_ties_at_the_band_equal_the_oracle(self, monkeypatch):
         # three points and 200 replicates: the maxima of the replicates ranked 179
         # to 181 all equal the band, the rank-180 order statistic
-        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 8 * (200 + 2 * 3))  # 8-point tiles
+        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 8 * (200 + 2 * 3))  # 7-point tiles
         data = np.random.default_rng(1).normal(size=(3, 2))
         axes = default_axes(data, 0.5, resolution=32)
         bounded, products = self.spied_products(monkeypatch)
@@ -362,29 +362,101 @@ class TestBand:
         exact = [[sum(int(mi) * int(np.rint(w)) for mi, w in zip(m, a * b)) for b in last]
                  for a in lead]
         assert max(map(max, exact)) > 2**53
-        for u in (persist._deviation_bound(lead, last, m, 2),
-                  persist._deviation_bound(last, lead, m, 2).T):
+        # the error term E takes U's margins: with the factor as its own error matrix, E = U
+        for u in (*persist._deviation_bound(lead, last, last, m, 2),
+                  persist._deviation_bound(last, lead, lead, m, 2)[0].T):
             for row, sums in zip(u.tolist(), exact):
                 # Python compares a float with an int exactly
                 assert all(s <= x <= (s + m.sum()) * (1.0 + 1e-12) for x, s in zip(row, sums))
 
+    def test_interpolated_bound_covers_exact_sums(self):
+        # A span of 11 last-axis points, anchors every 4th and the last (0, 4, 8, 10),
+        # so the points between take weights 1/4 to 3/4.  Over each sample point the
+        # factor is concave along the span; its anchor entries are halves that round
+        # down by 1/2 and the others halves that round up by 1/2, above the line
+        # between their anchors.  So where lead is 1, the replicate with c - 1 = m
+        # meets F's sum_i m_i and its error term exactly, and only the margins cover
+        # the float sums.  Other lead rows span 2^-10 to 2^10.  The sums pass 2^53.
+        rng = np.random.default_rng(6)
+        k, t = 300, 11
+        anchor, interp = persist._anchors(t, 4)
+        inner = interp[0]
+        assert anchor.tolist() == [0, 4, 8, 10]
+        m = rng.integers(1, 2000, size=k).astype(np.float64)
+        lead = rng.uniform(1.0, 2.0, size=(6, k)) * 2.0 ** rng.integers(-10, 10, size=(6, k))
+        lead[:2] = 1.0
+        c = np.arange(t)[:, None]
+        raw = 2.0 ** rng.uniform(7.0, 40.0, size=k) * (1.0 + c * (t - 1 - c) / 25.0)
+        last = 2.0 * np.floor(raw / 2.0) + 0.5
+        last[inner] += 1.0
+        dev = np.stack([m, -np.ones(k), *(rng.integers(-1, m + 1) for _ in range(3))])
+        rounded = [[[int(np.rint(w)) for w in a * b] for b in last] for a in lead]
+        exact = [[max(abs(sum(int(x) * r for x, r in zip(row, ints))) for row in dev)
+                  for ints in by_last] for by_last in rounded]  # max_b |D_bg|
+        assert max(map(max, exact)) > 2**53
+        u, e = persist._deviation_bound(lead, last, persist._error_matrix(last, interp), m, 3)
+        top = u.copy()
+        for a in range(0, lead.shape[0], 2):  # these rows' anchors were taken: exact maxima,
+            for b in anchor:  # as the nearest float not below them
+                top[a, b] = float(exact[a][b])
+                top[a, b] += (top[a, b] < exact[a][b]) * np.spacing(top[a, b])
+        f = persist._interpolated_bound(u, e, top, interp, np.sum(m))
+        assert f.shape == (lead.shape[0], inner.size)
+        for a in range(lead.shape[0]):
+            for j, g in enumerate(inner):
+                # Python compares a float with an int exactly
+                assert exact[a][g] <= f[a, j] <= (exact[a][g] + 4 * m.sum()) * (1.0 + 1e-12), (a, g)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_interpolated_band_equals_oracle(self, monkeypatch, d):
+        # Two clusters 12 h apart along the first axis, and a last axis of 120 points
+        # over at most 12 h, so anchors lie 4 or more points apart.  The last axis is
+        # unevenly spaced, unsorted, or even and cut into spans of 3 points, shorter
+        # than the stride.  The band equals the oracle's at several ranks, the largest
+        # first.  With F's pruning replaced by U's, the products take more points
+        # (on the unsorted axis, where F interpolates between far points, as many).
+        rng = np.random.default_rng([0, d])
+        n, h, B = 300 // d, 0.4, 60
+        data = rng.normal(scale=h, size=(n, d)) + 6.0 * h * rng.choice([-1.0, 1.0], size=(n, 1))
+        even = np.linspace(-6.0 * h, 6.0 * h, 120)
+        full, taken = kde._BLOCK_ENTRIES, [0, 0]
+        for last, budget in [(np.sort(rng.uniform(-6.0 * h, 6.0 * h, 120)), full),
+                             (rng.permutation(even), full),
+                             (even, 3 * (3 * n + B) + 2 * n)]:
+            axes = (*[np.linspace(-12.0 * h, 12.0 * h, 12)] * (d - 1), last)
+            stride = int(h * (last.size - 1) / (2.0 * np.ptp(last)))  # bootstrap_band's s
+            monkeypatch.setattr(kde, "_BLOCK_ENTRIES", budget)
+            spans = {box[-1].stop - box[-1].start for box, _, _ in DensityModel(data, h)._grid_tiles(axes, B)}
+            assert stride >= 4 and (spans == {120} or max(spans) == 3)
+            for i, bound in enumerate((persist._interpolated_bound,
+                                       lambda u, e, top, interp, m_sum: u[:, interp[0]])):
+                monkeypatch.setattr(persist, "_interpolated_bound", bound)
+                _, products = self.spied_products(monkeypatch)
+                for alpha in (1e-9, 0.1, 0.5):
+                    band = bootstrap_band(data, h, axes, alpha=alpha, B=B, seed=d)
+                    assert band == bootstrap_band_reference(data, h, axes, alpha=alpha, B=B, seed=d), alpha
+                taken[i] += sum(g for _, g, _ in products)
+        assert taken[0] < taken[1], taken
+
     def test_product_skips_points_on_blobs(self, monkeypatch):
-        # persist_3d's input with fewer replicates (the same 320 tiles): the tile
-        # products take 0.384 of all 320 tiles' (tile, sample point) pairs and,
-        # skipping grid points, 0.087 of the plain product's multiply-adds
+        # persist_3d's input with fewer replicates, in 128 tiles: the tile products,
+        # at most two a tile (anchors, then the points between them), take 49,665
+        # (product, sample point) pairs, 0.259 of 320 x 600, and, skipping grid
+        # points, 0.0366 of the plain product's multiply-adds (0.0897 with U alone)
         data = blobs_3d()
         _, products = self.spied_products(monkeypatch)
         bootstrap_band(data, 0.8, default_axes(data, 0.8, resolution=64), alpha=0.1, B=20, seed=0)
         widths = [k for _, _, k in products]
-        assert len(widths) <= 320
+        assert len(widths) <= 2 * 128
         assert sum(widths) < 0.39 * 600 * 320, sum(widths) / (600 * 320)
         madds = sum(b * g * k for b, g, k in products)
-        assert madds < 0.15 * 20 * 64**3 * 600, madds / (20 * 64**3 * 600)
+        assert madds < 0.04 * 20 * 64**3 * 600, madds / (20 * 64**3 * 600)
 
     def test_last_axis_factor_made_once_per_pass(self, monkeypatch):
-        # persist_3d's input: its 320 tiles of 1 x 13 x 64 points share one span of
-        # the last axis, so each pass makes that 64-row factor once, and the leading
-        # axes' factors 64 x (1 + 64) rows; per tile that would be 24,896 rows
+        # persist_3d's input: its 128 tiles of 1 x 51 x 64 points (1 x 50 x 64 for
+        # the band) share one span of the last axis, so each pass makes that 64-row
+        # factor once, and the leading axes' factors 64 + 128 rows; per tile that
+        # would be 128 x (64 + 51 + 1) = 14,848 rows
         data = blobs_3d()
         axes = default_axes(data, 0.8, resolution=64)
         made = []
@@ -403,10 +475,10 @@ class TestBand:
             assert sum(t for _, t in made) < 5000, sum(t for _, t in made)
 
     def test_each_axis_factor_made_once_per_span(self, monkeypatch):
-        # persist_3d's input: one span of axis 2, five spans of axis 1 (13 points
-        # each, the last 12) and, within each, 64 one-point spans of axis 0.  Each
-        # span's factor is made once: 64 + 64 + 320 = 448 rows per pass, where
-        # remaking axis 1's factors for every axis-0 value made 4,480
+        # persist_3d's input: one span of axis 2, two spans of axis 1 (51 and 13
+        # points for the grid, 50 and 14 for the band) and, within each, 64 one-point
+        # spans of axis 0.  Each span's factor is made once: 64 + 64 + 128 = 256 rows
+        # per pass, where remaking axis 1's factors for every axis-0 value made 4,480
         data = blobs_3d()
         axes = default_axes(data, 0.8, resolution=64)
         rows = {}
@@ -421,7 +493,7 @@ class TestBand:
                          lambda: bootstrap_band(data, 0.8, axes, alpha=0.1, B=20, seed=0)):
             rows.clear()
             evaluate()
-            assert rows == {0: 320, 1: 64, 2: 64}, rows
+            assert rows == {0: 128, 1: 64, 2: 64}, rows
 
     def test_tiles_keep_no_model_alive(self):
         # with the cyclic collector off, a model is freed as soon as its last
@@ -492,6 +564,13 @@ class TestSignificantPairs:
     def test_negative_band_rejected(self):
         with pytest.raises(ValueError):
             significant_pairs(PersistenceDiagram(pairs=np.zeros((0, 2)), band=-0.1))
+
+    @pytest.mark.parametrize("band", [np.nan, np.inf])
+    def test_non_finite_band_rejected(self, band):
+        # a NaN band once kept no pair without a word
+        pairs = np.array([[0.0, 1.0]])
+        with pytest.raises(ValueError, match="band must be nonnegative and finite"):
+            significant_pairs(PersistenceDiagram(pairs=pairs, band=band))
 
 
 class TestGridHelpers:
@@ -572,6 +651,13 @@ class TestGridHelpers:
             GridFunction((np.arange(3.0),), np.zeros(4))
         with pytest.raises(ValueError, match="finite"):
             GridFunction((np.arange(2.0),), np.array([0.0, np.nan]))
+
+    @pytest.mark.parametrize("axes, values", [((np.array([]),), np.array([])),
+                                              ((np.arange(3.0), np.array([])), np.zeros((3, 0)))])
+    def test_empty_axis_rejected(self, axes, values):
+        # an empty axis once made a grid on which superlevel_persistence raised IndexError
+        with pytest.raises(ValueError, match="grid axes must be non-empty"):
+            GridFunction(axes, values)
 
 
 def test_trimodal_pipeline_retains_three():
