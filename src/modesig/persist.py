@@ -357,13 +357,13 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     dev = np.zeros(B)  # per replicate, max |deviation| * grid / norm over the points so far
     span = None
     for box, lead, last in tiles:
-        if box[-1] != span:  # a new span of the last axis: its anchors and error matrix
+        if box[-1] != span:  # a new span of the last axis: its anchors, error matrix and maxima
             span, err = box[-1], None  # free the last span's matrix before making this one's
             anchor, interp = _anchors(last.shape[0], stride)
             inner = interp[0]
-            err = _error_matrix(last, interp)
+            err, last_max = _error_matrix(last, interp), last.max(axis=0)
         lead *= grid  # exact; weights that can round to nonzero keep their scaled bits
-        kept = np.flatnonzero(lead.max(axis=0) * last.max(axis=0) > 0.5)
+        kept = np.flatnonzero(lead.max(axis=0) * last_max > 0.5)
         if kept.size:
             cols = slice(kept[0], kept[-1] + 1)
             lead, last = lead[:, cols], last[:, cols]
