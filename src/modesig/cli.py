@@ -204,11 +204,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # integer flags, named as typed, checked before any data is read (simulate has none)
+        # integer flags, named as typed, checked before any data is read; simulate has
+        # none, and --grid-res is None unless given (a per-dimension default)
         for key, flag, low in (("seed", "--seed", 0), ("grid_count", "--grid-count", 2),
                                ("grid_res", "--grid-res", 2)):
-            if vars(args).get(key) is not None:  # --grid-res defaults to None: per dimension
-                _check_integer(vars(args)[key], flag, low)
+            value = vars(args).get(key)
+            if value is not None:
+                _check_integer(value, flag, low)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -293,10 +293,11 @@ class DensityModel:
         from stay within _BLOCK_ENTRIES entries together: n + width per point
         of the tile, for its weight rows and a (width, tile) product of them
         alive at once, n per row of each leading axis' factor, and 2n per row
-        of the last axis' factor, the factor and an error matrix the caller
-        may make from it (persist.bootstrap_band).  Tiles take whole runs of the last axes first; the layout
-        depends only on the grid shape, n and width.  The axes are checked in
-        this call, before any tile is built (_as_axes).
+        of the last axis' factor, for the factor and an error matrix the
+        caller may make from it (persist.bootstrap_band).  Tiles take whole
+        runs of the last axes first; the layout depends only on the grid
+        shape, n and width.  The axes are checked in this call, before any
+        tile is built (_as_axes).
         """
         axes = _as_axes(axes, self.d)
         half_sq = [np.max((a - c) ** 2) / (2.0 * self.h**2) for a, c in zip(axes, self._center)]
