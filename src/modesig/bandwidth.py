@@ -80,8 +80,8 @@ def scan(data, grid=None, cfg: ModeTestConfig | None = None) -> BandwidthScan:
     """
     pts = as_points(data)
     grid = default_grid(pts) if grid is None else np.sort(np.asarray(grid, dtype=np.float64))
-    if grid.size == 0 or not np.all(grid > 0.0) or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be nonempty with positive finite entries")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(grid > 0.0) or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a nonempty 1-d array with positive finite entries")
     cfg = cfg or ModeTestConfig(h=float(grid[0]))
 
     X, Y = split(pts, cfg.split_seed)

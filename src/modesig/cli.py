@@ -206,8 +206,8 @@ def main(argv=None) -> int:
     try:
         # integer flags, named as typed, checked before any data is read; simulate has
         # none, and --grid-res is None unless given (a per-dimension default)
-        for key, flag, low in (("seed", "--seed", 0), ("grid_count", "--grid-count", 2),
-                               ("grid_res", "--grid-res", 2)):
+        for key, flag, low in (("B", "--B", 1), ("seed", "--seed", 0),
+                               ("grid_count", "--grid-count", 2), ("grid_res", "--grid-res", 2)):
             value = vars(args).get(key)
             if value is not None:
                 _check_integer(value, flag, low)

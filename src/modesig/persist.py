@@ -110,7 +110,7 @@ def superlevel_persistence(f: GridFunction) -> np.ndarray:
     flat = values.ravel()
     G = flat.size
 
-    order = np.lexsort((np.arange(G), -flat))
+    order = np.argsort(-flat, kind="stable")  # ties by flat index
     rank = np.empty(G, dtype=np.int64)
     rank[order] = np.arange(G)
     rank = rank.reshape(values.shape)
@@ -237,18 +237,24 @@ def _interpolated_bound(u: np.ndarray, e: np.ndarray, top: np.ndarray, interp,
     return f
 
 
-def _exact_maxima(counts: np.ndarray, lead: np.ndarray, last: np.ndarray,
-                  lead_row: np.ndarray, last_row: np.ndarray):
-    """max_b |D_bg| at the tile points (lead_row, last_row), lead rows in increasing
-    order, and max_g |D_bg| over them per replicate, from the exact product."""
-    w = last[last_row]
+def _exact_maxima(bound: np.ndarray, at: np.ndarray, counts: np.ndarray, lead: np.ndarray,
+                  last: np.ndarray, dev: np.ndarray, alpha: float):
+    """bootstrap_band's exact-product step on a tile: the points (a, at[j]) whose bound[a, j]
+    exceeds the running quantile of dev go to one exact product over counts (B, k), the
+    tile's columns of the counts minus one, if any, and each replicate's maximum |D_bg| over
+    them is folded into dev.  Returns the points, (lead rows, last rows), and their max_b |D_bg|."""
+    lead_row, j = np.nonzero(bound > ceil_order_statistic(dev, 1.0 - alpha))
+    points = (lead_row, at[j])
+    if not lead_row.size:
+        return points, np.empty(0)
+    w = last[points[1]]
     runs = np.flatnonzero(np.diff(lead_row, prepend=-1))  # rows sharing a lead row
     for lo, hi in zip(runs, [*runs[1:], lead_row.size]):
         w[lo:hi] *= lead[lead_row[lo]]  # in place: no second (rows, k) temporary
     block = _exact_deviations(counts, w)
-    del w
     np.abs(block, out=block)
-    return block.max(axis=0), block.max(axis=1)
+    np.maximum(dev, block.max(axis=1), out=dev)
+    return points, block.max(axis=0)
 
 
 def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> float:
@@ -260,7 +266,9 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     Grid evaluation understates the continuum sup-norm slightly.  The
     deviations come tile by tile, each tile within the kernel budget for
     width max(n, B), from an exact product (_exact_deviations), so the band
-    does not depend on the tile layout or the BLAS thread count.
+    does not depend on the tile layout or the BLAS thread count.  The counts
+    are row-major, so each product reads contiguous rows: thin products are
+    bound by memory traffic, and over the column-major permuted draw ran slower.
 
     The product skips sample points whose weights on a tile all round to 0.
     The sample is sorted by its first coordinate, which tiles cut finest,
@@ -279,7 +287,7 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     of the plain product over every point.
 
     The product also skips the grid points that cannot move the band.  With
-    m_i = max(max_b c_bi, 2) - 1 >= max_b |c_bi - 1| from the counts c, no
+    m_i = max(max_b (c_bi - 1), 1) >= max_b |c_bi - 1| from the counts c, no
     replicate's deviation D_bg at grid point g exceeds T_g = sum_i m_i R_gi,
     R_gi = rint(w_gi), over the tile's range of k points.  Let q be the order
     statistic of the replicates' maxima over the points taken so far.  A
@@ -328,9 +336,9 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     4.01 2^-53 S.  The relative margin covers F's own 7 roundings at most,
     b0 + b1 exceeding 1 by up to 2^-52, and any product that underflows,
     which errs by at most 2^-1074, since F >= sum_i m_i.  So each tile
-    first takes the anchors whose U exceeds the running q into the exact
-    product, which gives their M, and then the other points whose
-    min(U, F) exceeds the updated q.
+    makes two exact-product steps (_exact_maxima): the anchors whose U
+    exceeds the running q, which gives their M, and then the other points
+    whose min(U, F) exceeds the updated q.
 
     Before any resampling, raises ValueError for bad alpha, B or seed, and
     unless `axes` holds one non-empty, finite 1-d axis per coordinate.
@@ -348,11 +356,9 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
     extent = float(np.ptp(last_axis))  # anchors' stride s = floor(h / (2 spacing)), at least 1
     stride = last_axis.size if extent == 0.0 else max(1, int(min(
         last_axis.size, model.h * (last_axis.size - 1) / (2.0 * extent))))
-    # deviation weights in sorted order: p_star - p_hat = norm * (counts - 1) @ K
-    draw = _resample_counts(n, B, seed)[:, order]
-    m = (np.maximum(draw.max(axis=0), 2) - 1).astype(np.float64)  # from the integers: no (B, n) copy
-    counts = draw - 1.0
-    del draw
+    # deviation weights in sorted order: p_star - p_hat = norm * counts @ K, counts row-major
+    counts = np.subtract(_resample_counts(n, B, seed)[:, order], 1.0, order="C")
+    m = np.maximum(counts.max(axis=0), 1.0)  # max_b |c_bi - 1|, at least 1
     grid = 2.0 ** (53 - (2 * n - 1).bit_length())  # 2^F (_exact_deviations)
     dev = np.zeros(B)  # per replicate, max |deviation| * grid / norm over the points so far
     span = None
@@ -360,7 +366,6 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
         if box[-1] != span:  # a new span of the last axis: its anchors, error matrix and maxima
             span, err = box[-1], None  # free the last span's matrix before making this one's
             anchor, interp = _anchors(last.shape[0], stride)
-            inner = interp[0]
             err, last_max = _error_matrix(last, interp), last.max(axis=0)
         lead *= grid  # exact; weights that can round to nonzero keep their scaled bits
         kept = np.flatnonzero(lead.max(axis=0) * last_max > 0.5)
@@ -369,17 +374,11 @@ def bootstrap_band(data, h: float, axes, alpha: float, B: int, seed: int) -> flo
             lead, last = lead[:, cols], last[:, cols]
             u, e = _deviation_bound(lead, last, err[:, cols], m[cols], model.d)
             top = u.copy()  # each anchor's max_b |D|, or its U where not taken
-            lead_row, at = np.nonzero(u[:, anchor] > ceil_order_statistic(dev, 1.0 - alpha))
-            if lead_row.size:
-                point_max, dev_max = _exact_maxima(counts[:, cols], lead, last, lead_row, anchor[at])
-                np.maximum(dev, dev_max, out=dev)
-                top[lead_row, anchor[at]] = point_max
+            taken, taken_max = _exact_maxima(u[:, anchor], anchor, counts[:, cols], lead, last, dev, alpha)
+            top[taken] = taken_max
             f = _interpolated_bound(u, e, top, interp, np.sum(m[cols]))
-            np.minimum(f, u[:, inner], out=f)
-            lead_row, at = np.nonzero(f > ceil_order_statistic(dev, 1.0 - alpha))
-            if lead_row.size:
-                np.maximum(dev, _exact_maxima(counts[:, cols], lead, last, lead_row, inner[at])[1],
-                           out=dev)
+            np.minimum(f, u[:, interp[0]], out=f)
+            _exact_maxima(f, interp[0], counts[:, cols], lead, last, dev, alpha)
             del u, e, top, f
         del lead, last  # free this tile, with its products above, before the generator builds the next
     return model._norm * (ceil_order_statistic(dev, 1.0 - alpha) / grid)

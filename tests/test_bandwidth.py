@@ -135,6 +135,9 @@ class TestScan:
             scan(data, grid=np.array([0.5, -1.0]), cfg=ModeTestConfig(h=1.0))
         with pytest.raises(ValueError):
             scan(data, grid=np.zeros(0), cfg=ModeTestConfig(h=1.0))
+        # a 2-d grid once failed inside stage 1 with a TypeError
+        with pytest.raises(ValueError, match="1-d"):
+            scan(data, grid=np.array([[0.5, 1.0], [1.5, 2.0]]), cfg=ModeTestConfig(h=1.0))
 
     def test_non_integer_B_rejected_before_stage_1(self, monkeypatch):
         # a float B once passed the config check and failed only in the count draw,

@@ -117,6 +117,16 @@ def test_negative_seed_names_the_flag(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: --seed must be >= 0 and an integer, got -1\n"
 
 
+@pytest.mark.parametrize("command", [["test", "--h", "1.0"], ["persist", "--h", "1.0"], ["bandwidth"]],
+                         ids=["test", "persist", "bandwidth"])
+def test_zero_replicates_names_the_flag(tmp_path, capsys, command):
+    # once checked only by the library, after the data was read, and named B there;
+    # the file does not exist
+    rc = main([*command, "--input", str(tmp_path / "missing.csv"), "--B", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --B must be >= 1 and an integer, got 0\n"
+
+
 @pytest.mark.parametrize("command, message", [
     (["bandwidth", "--grid-count", "0", "--grid-min", "0.2", "--grid-max", "1.0"], "--grid-count must be >= 2 and an integer, got 0"),
     (["bandwidth", "--grid-count", "1", "--grid-min", "0.2", "--grid-max", "1.0"], "--grid-count must be >= 2 and an integer, got 1"),
@@ -227,7 +237,7 @@ class TestPersistCommand:
         rc = main(["persist", "--family", "mixture", "--spec", spec,
                    "--h", "0.8", "--B", "0", "--grid-res", "16"])
         assert rc == 2
-        assert "error: B must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --B must be >= 1 and an integer, got 0\n"
 
 
 class TestBandwidthCommand:

@@ -453,6 +453,22 @@ class TestBand:
         madds = sum(b * g * k for b, g, k in products)
         assert madds < 0.04 * 20 * 64**3 * 600, madds / (20 * 64**3 * 600)
 
+    def test_products_read_row_major_counts(self, monkeypatch):
+        # persist_3d's input: every product reads its slice of the counts as rows of
+        # contiguous entries; the permuted draw comes back column-major, and slices of
+        # it once had strides (8, 1600) at B = 200
+        data = blobs_3d()
+        layouts = []
+
+        def product_spy(dev_counts, w):
+            layouts.append(dev_counts.strides[1] == dev_counts.itemsize)
+            return exact(dev_counts, w)
+
+        exact = persist._exact_deviations
+        monkeypatch.setattr(persist, "_exact_deviations", product_spy)
+        bootstrap_band(data, 0.8, default_axes(data, 0.8, resolution=64), alpha=0.1, B=200, seed=0)
+        assert layouts and all(layouts), layouts
+
     def test_last_axis_factor_made_once_per_pass(self, monkeypatch):
         # persist_3d's input: its 128 tiles of 1 x 51 x 64 points (1 x 50 x 64 for
         # the band) share one span of the last axis, so each pass makes that 64-row
