@@ -153,19 +153,19 @@ def _boot(model: DensityModel, points, counts: np.ndarray) -> list[BootstrapDraw
     the (B, n) multiplicity matrix counts (_resample_counts).
 
     The integer counts are converted to float64 in blocks of rows of at most
-    _COUNT_BLOCK entries; each replicate's Hessian is its own row's sum, so
-    the bits do not depend on the blocks.
+    _COUNT_BLOCK entries; each replicate's Hessian is its own row's exact sum
+    (DensityModel._hessians), so the bits do not depend on the blocks.
     """
     ones = np.ones((1, model.n))
     step = max(1, _COUNT_BLOCK // model.n)
     out = []
     for at in points:
-        terms = model._hessian_terms(at)
-        hess = np.concatenate([model._hessians(counts[lo:lo + step].astype(np.float64), terms)
+        split = model._hessian_terms(at)
+        hess = np.concatenate([model._hessians(counts[lo:lo + step].astype(np.float64), split)
                                for lo in range(0, counts.shape[0], step)])
         # eigvalsh sorts ascending; rows are reported descending
         lam_star = np.linalg.eigvalsh(hess)[:, ::-1]
-        lam_hat = np.linalg.eigvalsh(model._hessians(ones, terms))[0, ::-1]
+        lam_hat = np.linalg.eigvalsh(model._hessians(ones, split))[0, ::-1]
         out.append(
             BootstrapDraws(
                 lambda_star=lam_star,

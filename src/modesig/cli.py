@@ -211,6 +211,14 @@ def main(argv=None) -> int:
             value = vars(args).get(key)
             if value is not None:
                 _check_integer(value, flag, low)
+        # then the float flags, of which simulate has none either; --grid-min and
+        # --grid-max are None unless given
+        for key, flag in (("h", "--h"), ("grid_min", "--grid-min"), ("grid_max", "--grid-max")):
+            value = vars(args).get(key)
+            if value is not None and not (value > 0.0 and np.isfinite(value)):
+                raise ValueError(f"{flag} must be positive and finite, got {value!r}")
+        if "alpha" in vars(args) and not 0.0 < args.alpha < 1.0:
+            raise ValueError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

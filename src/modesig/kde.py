@@ -14,7 +14,8 @@ once, by the code that enforces it:
 - every kernel exponential, with sub-tiny weights flushed to exact 0: _exp_flushed
   (query weights, Hessian terms, and the grid and band factors of _axis_factor)
 - cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
-- BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM)
+- BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM), both checked by
+  experiment; the bootstrap Hessians' product is exact, so invariant by arithmetic: _hessians
 - grids from per-axis factors, made once per span of each axis, in bounded tiles: _grid_tiles
 - the persistence band's exact product: persist._exact_deviations, and the sample
   points and grid points it skips, by a bound from the weights and one interpolated
@@ -441,13 +442,18 @@ class DensityModel:
 
     # -- Hessians of reweighted samples, shared with the bootstrap --
 
-    def _hessian_terms(self, at: np.ndarray) -> np.ndarray:
-        """Per-point Hessian contributions at a fixed point, as (d(d+1)/2, n).
+    def _hessian_terms(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point Hessian contributions at a fixed point, split for _hessians'
+        exact product, as (slices, shift).
 
-        Row r holds e_i * (u_i u_i^T - I) at lower-triangle entry
-        np.tril_indices(d)[r], with u_i = (at - X_i) / h and
-        e_i = exp(-||u_i||^2 / 2), flushed to 0 below the smallest normal
-        float (_exp_flushed).
+        The terms are K = d(d+1)/2 rows over the n points: row r holds
+        e_i * (u_i u_i^T - I) at lower-triangle entry np.tril_indices(d)[r],
+        with u_i = (at - X_i) / h and e_i = exp(-||u_i||^2 / 2), flushed to 0
+        below the smallest normal float (_exp_flushed).  Row r is scaled
+        exactly by 2^shift[r], so that its largest magnitude lies in
+        [2^(beta-1), 2^beta) (_split_bits), and split into two integer
+        slices: slices[r] = rint(t) and slices[K + r] = rint((t - rint(t)) 2^beta)
+        of the scaled row t, which hold t to within 2^-(beta+1).
         """
         # The exponent comes from the differences u_i, not _exp_weights' expansion, which
         # cancels terms of size ||X - c||^2 / h^2: with 200 points in two clusters 60 h apart,
@@ -460,19 +466,59 @@ class DensityModel:
         e = self._exp_flushed(-0.5 * np.sum(u**2, axis=0),
                               np.sum((at - self._center) ** 2) / (2.0 * self.h**2))
         rows, cols = np.tril_indices(self.d)
-        terms = u[rows] * u[cols] * e
+        # The terms are built in the second slice's rows, one row at a time, and split in
+        # place there, so no other (K, n) array is made.
+        slices = np.empty((2 * rows.size, self.n))
+        lead, terms = slices[:rows.size], slices[rows.size:]
+        for r, (i, j) in enumerate(zip(rows, cols)):
+            np.multiply(u[i], u[j], out=terms[r])
+        terms *= e
         terms[rows == cols] -= e
-        return terms
+        beta = _split_bits(self.n)
+        _, top = np.frexp(np.maximum(terms.max(axis=1), -terms.min(axis=1)))
+        shift = beta - top  # a zero row has top 0 and stays zero
+        np.ldexp(terms, shift[:, None], out=terms)
+        np.rint(terms, out=lead)
+        terms -= lead  # exact: each entry's distance to its nearest integer
+        np.ldexp(terms, beta, out=terms)
+        np.rint(terms, out=terms)
+        return slices, shift
 
-    def _hessians(self, counts: np.ndarray, terms: np.ndarray) -> np.ndarray:
-        """(B, d, d) Hessians of the density with point i weighted by counts[b, i].
+    def _hessians(self, counts: np.ndarray, split: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """(B, d, d) Hessians of the density with point i weighted by counts[b, i],
+        from the split terms of _hessian_terms.
 
         Unit counts give the model's own Hessian; bootstrap counts give the
-        Hessian of each resample.
+        Hessian of each resample.  Counts must be nonnegative integers whose
+        rows sum to at most 2^ceil(log2 n), as both do.
+
+        Why the product counts @ slices.T is exact: every slice entry is an
+        integer of magnitude at most 2^beta, beta = 53 - ceil(log2 n)
+        (_split_bits), and each row of counts sums to at most 2^(53 - beta).
+        So every product c_bi * s_ri and every partial sum of them, in any
+        grouping, is an integer of magnitude at most 2^53, which float64
+        holds exactly.  The product therefore has the same bits in any
+        summation order, at any BLAS thread split and with or without fused
+        multiply-adds: the Hessians' thread invariance rests on arithmetic,
+        not on the library.  The two slices' sums are added in one rounding,
+        then the row scaling is undone exactly, by a power of two (but for
+        results below the smallest normal float), and the result times the
+        kernel's constant is rounded once more.
         """
-        vech = self._hessian_scale * sample_sum(counts, terms)  # (B, d(d+1)/2)
+        slices, shift = split
+        k = shift.size
+        sums = counts @ slices.T  # (B, 2K), exact
+        vech = self._hessian_scale * np.ldexp(
+            sums[:, :k] + np.ldexp(sums[:, k:], -_split_bits(self.n)), -shift)
         rows, cols = np.tril_indices(self.d)
         mats = np.zeros((vech.shape[0], self.d, self.d))
         mats[:, rows, cols] = vech
         mats[:, cols, rows] = vech
         return mats
+
+
+def _split_bits(n: int) -> int:
+    """beta = 53 - ceil(log2 n), the bits of each slice of _hessian_terms' split: counts
+    whose total is at most 2^ceil(log2 n) times integers of magnitude at most 2^beta
+    sum to at most 2^53."""
+    return 53 - (n - 1).bit_length()

@@ -87,7 +87,7 @@ def mean_shift_step(model, a) -> np.ndarray:
 
 def plain_mean_shift(model, max_iter=500):
     """find_modes from every sample point by the plain update x <- m(x), with no
-    extrapolation, as (candidates, assignment).
+    extrapolation and no capture, as (candidates, assignment).
 
     Each trajectory stops at the first point x with ||m(x) - x|| below
     STEP_TOL * h, or after max_iter steps; endpoints are merged by
@@ -117,7 +117,7 @@ def plain_mean_shift(model, max_iter=500):
         active = active[~finish]
         current[active] = target[~finish]
     return modes._merge_candidates(model, current, density, iterations, converged,
-                                   modes.MERGE_TOL * model.h, min_ascent_delta, 0)
+                                   modes.MERGE_TOL * model.h, min_ascent_delta, 0, 0)
 
 
 def kernel_weights(points, h, q) -> np.ndarray:
@@ -126,6 +126,19 @@ def kernel_weights(points, h, q) -> np.ndarray:
     L = np.longdouble
     u = (np.asarray(q, dtype=L)[:, None, :] - np.asarray(points, dtype=L)[None, :, :]) / L(h)
     return np.exp(-L(0.5) * np.sum(u * u, axis=2))
+
+
+def hessian_terms(model, at) -> np.ndarray:
+    """The per-point Hessian terms e_i * (u_i u_i^T - I) at `at`, as (d(d+1)/2, n)
+    float64 rows in np.tril_indices order, with u_i = (at - X_i) / h and
+    e_i = exp(-||u_i||^2 / 2): the float64 arithmetic that DensityModel._hessian_terms
+    splits, so that a test can sum them in np.longdouble."""
+    u = (np.asarray(at, dtype=np.float64)[:, None] - model.points.T) / model.h
+    e = np.exp(-0.5 * np.sum(u**2, axis=0))
+    rows, cols = np.tril_indices(model.d)
+    terms = u[rows] * u[cols] * e
+    terms[rows == cols] -= e
+    return terms
 
 
 def kde_reference(points, h, q) -> tuple:

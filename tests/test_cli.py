@@ -128,6 +128,22 @@ def test_zero_replicates_names_the_flag(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command, message", [
+    (["test", "--h", "-1"], "--h must be positive and finite, got -1.0"),
+    (["persist", "--h", "nan"], "--h must be positive and finite, got nan"),
+    (["test", "--h", "1.0", "--alpha", "0"], "--alpha must lie in (0, 1), got 0.0"),
+    (["persist", "--h", "1.0", "--alpha", "1.5"], "--alpha must lie in (0, 1), got 1.5"),
+    (["bandwidth", "--alpha", "1"], "--alpha must lie in (0, 1), got 1.0"),
+    (["bandwidth", "--grid-min", "-1", "--grid-max", "1.0"], "--grid-min must be positive and finite, got -1.0"),
+    (["bandwidth", "--grid-min", "0.2", "--grid-max", "inf"], "--grid-max must be positive and finite, got inf"),
+], ids=["h_negative", "h_nan", "alpha_0", "alpha_1.5", "bandwidth_alpha_1", "grid_min", "grid_max"])
+def test_float_flags_name_the_flag(tmp_path, capsys, command, message):
+    # once checked only by the library, after the data was read; the file does not exist
+    rc = main([*command, "--input", str(tmp_path / "missing.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, message", [
     (["bandwidth", "--grid-count", "0", "--grid-min", "0.2", "--grid-max", "1.0"], "--grid-count must be >= 2 and an integer, got 0"),
     (["bandwidth", "--grid-count", "1", "--grid-min", "0.2", "--grid-max", "1.0"], "--grid-count must be >= 2 and an integer, got 1"),
     (["bandwidth", "--grid-count", "1"], "--grid-count must be >= 2 and an integer, got 1"),

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from modesig import (
     DensityModel,
     as_points,
+    boot,
     bootstrap_band,
     bootstrap_hessian_batch,
     default_axes,
@@ -17,7 +18,7 @@ from modesig import (
     find_modes,
     kde,
 )
-from oracles import grid_density, kde_reference, kernel_weights
+from oracles import grid_density, hessian_terms, kde_reference, kernel_weights
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -251,6 +252,43 @@ def test_hessian_accurate_far_from_origin(d):
     assert err <= 1e-13
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-63,
+                    reason="np.longdouble has no 64-bit mantissa here")
+@pytest.mark.parametrize("case", ["normal_5000x10", "midway_60h", "off_centre_60h"])
+def test_hessian_sums_match_long_double(case):
+    # Each entry of _hessians is the exact count-weighted sum of the float64 terms,
+    # rounded once and times the kernel constant, rounded once more: within
+    # 2^-52 of itself, but for the second slice's truncation, at most
+    # n 2^-(2 beta) of its row's largest term.  The reference sums the same terms
+    # in np.longdouble, pairwise, within about (log2 n + 2) 2^-64 of sum_i c_i |t_i|.
+    # Between the clusters, 30 h from both or 25 h from one and 35 h from the other,
+    # every term lies below e^-300, and the terms span 300 to 700 binades.  Chunked
+    # ddot sums (sample_sum) miss this bound by 1.5x to 42x on these cases.
+    if case == "normal_5000x10":
+        pts, h = np.random.default_rng(50).normal(size=(5000, 10)), 1.0
+        at = np.full(10, 0.1)
+    else:  # 1,000 points about each of two centres 60 h apart in 3-d
+        centres = np.array([[-15.0, 0.0, 0.0], [15.0, 0.0, 0.0]])
+        pts = centres[np.repeat([0, 1], 1000)] + 0.5 * np.random.default_rng(60).normal(size=(2000, 3))
+        h = 0.5
+        at = np.array([0.0 if case == "midway_60h" else -2.5, 0.2, -0.1])
+    model = DensityModel(pts, h)
+    n, L = model.n, np.longdouble
+    counts = np.vstack([np.ones((1, n)), boot._resample_counts(n, 16, 7)])
+    terms = hessian_terms(model, at)
+    rows, cols = np.tril_indices(model.d)
+    got = model._hessians(counts, model._hessian_terms(at))[:, rows, cols]
+    exact = np.stack([np.sum(L(1) * c * terms, axis=1) for c in counts])
+    spread = np.stack([np.sum(L(1) * c * np.abs(terms), axis=1) for c in counts])
+    beta = kde._split_bits(n)
+    truncation = n * 2.0 ** (-2 * beta) * np.max(np.abs(terms), axis=1)
+    scale = L(model._hessian_scale)
+    tol = scale * (2.0**-52 * (1.0 + 1e-9) * np.abs(exact) + truncation
+                   + (np.log2(n) + 2) * 2.0**-64 * spread)
+    err = np.abs(got - scale * exact)
+    assert np.all(err <= tol), float(np.max(err / tol))
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                     reason="np.longdouble is no wider than float64 here")
 @pytest.mark.parametrize("d", [2, 10])
@@ -388,7 +426,9 @@ def test_hessian_terms_far_out_hold_no_subnormal():
         at = m._center + 40.0 * np.eye(d)[0]
         exponent = -0.5 * np.sum((at - pts) ** 2, axis=1)
         assert np.any((exponent < np.log(tiny)) & (exponent > -744.0)), d
-        terms = m._hessian_terms(at)
+        slices, shift = m._hessian_terms(at)
+        hi, lo = np.split(slices, 2)  # the terms, scaled and split in two integer slices
+        terms = np.ldexp(hi + np.ldexp(lo, -kde._split_bits(m.n)), -shift[:, None])
         assert not np.any((terms != 0.0) & (np.abs(terms) < tiny)), d
         assert np.all(terms[:, exponent < np.log(tiny) - 1e-9] == 0.0), d
         assert np.any(terms != 0.0), d

@@ -317,3 +317,60 @@ class TestAcceleration:
             plain_mean_shift(m)
             plain += m.rows
         assert fast <= 0.5 * plain, (fast, plain)
+
+
+class TestCapture:
+    """A row that comes within CAPTURE_TOL * h of a converged endpoint stops there."""
+
+    @staticmethod
+    def cases():
+        # inputs of the tests above, and three of scan_2d's bandwidths
+        rng = np.random.default_rng(19)
+        yield rng.normal(size=(150, 2)), 0.3
+        for seed, h in [(0, 1.0), (5, 0.8), (13, 0.9), (17, 1.0)]:
+            yield two_cluster_data(seed=seed), h
+        for seed in range(3):
+            yield np.random.default_rng(seed).normal(size=(120, 2)), 0.45
+        for d in (1, 2, 10):
+            yield TestAcceleration.two_clusters(d)
+        X, grid = scan_2d_input(seed=0)
+        for h in grid[::10]:
+            yield X, h
+
+    def test_no_row_evaluated_near_an_earlier_endpoint(self, monkeypatch):
+        # the captured set keeps one endpoint per collapse key, and endpoints with one
+        # key lie within sqrt(d) * pitch of each other: closer than CAPTURE_TOL * h less
+        # that, no row is evaluated again once an endpoint has converged
+        sweep, captured = modes._sweep, 0
+        for data, h in self.cases():
+            m = DensityModel(data, h)
+            radius = (modes.CAPTURE_TOL - np.sqrt(m.d) * modes.MERGE_TOL * 1e-3) * h
+            ends = [np.empty((0, m.d))]  # endpoints that converged in earlier sweeps
+
+            def spy(model, rows, final, step_tol, current, *state):
+                gap = np.linalg.norm(current[rows, None] - np.concatenate(ends), axis=2)
+                assert np.all(gap >= radius), (h, np.min(gap) / model.h)
+                finish, done, *rest = sweep(model, rows, final, step_tol, current, *state)
+                ends.append(current[rows[done]].copy())  # a converged row does not move
+                return finish, done, *rest
+
+            monkeypatch.setattr(modes, "_sweep", spy)
+            _, asg = find_modes(m)
+            monkeypatch.setattr(modes, "_sweep", sweep)
+            captured += asg.diagnostics["n_captured"]
+        assert captured > 0
+
+    def test_capture_keeps_modes_basins_and_labels(self, monkeypatch):
+        for data, h in self.cases():
+            m = DensityModel(data, h)
+            cands, asg = find_modes(m)
+            monkeypatch.setattr(modes, "CAPTURE_TOL", 0.0)
+            plain, plain_asg = find_modes(m)
+            monkeypatch.undo()
+            assert plain_asg.diagnostics["n_captured"] == 0
+            assert len(cands) == len(plain), h
+            assert [c.basin_size for c in cands] == [c.basin_size for c in plain], h
+            assert np.array_equal(asg.labels, plain_asg.labels), h
+            assert np.array_equal(asg.converged, plain_asg.converged), h
+            for c, p in zip(cands, plain):
+                assert np.linalg.norm(c.location - p.location) <= 60 * modes.STEP_TOL * h

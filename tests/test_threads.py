@@ -37,11 +37,11 @@ for m, n, d in [(700, 1000, 2), (2048, 5000, 10), (_BLOCK_ENTRIES // 5000, 5000,
     model = DensityModel(rng.standard_normal((n, d)), 1.0)
     w = model._exp_weights(rng.standard_normal((m, d)))
     out[f"weights_x_points_{m}x{n}x{d}"] = digest(sample_sum(w, model._aug[:d + 1]))
-# counts @ terms: bootstrap Hessians at a fixed point
+# counts @ terms: bootstrap Hessians at a fixed point, one exact product
 for B, n, d in [(500, 500, 2), (500, 5000, 10), (500, 2000, 1), (100, 24000, 2)]:
-    terms = DensityModel(rng.standard_normal((n, d)), 1.0)._hessian_terms(np.zeros(d))
+    model = DensityModel(rng.standard_normal((n, d)), 1.0)
     counts = _resample_counts(n, B, 0)
-    out[f"counts_x_terms_{B}x{n}x{d}"] = digest(sample_sum(counts, terms))
+    out[f"counts_x_terms_{B}x{n}x{d}"] = digest(model._hessians(counts, model._hessian_terms(np.zeros(d))))
 # (counts - 1) @ rint(w * 2^F).T: one block of grid points of the persistence band
 centers = np.array([[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [0.0, 3.5, 0.0]])
 pts = centers[rng.integers(0, 3, 2000)] + 0.5 * rng.standard_normal((2000, 3))
