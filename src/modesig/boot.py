@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kde import DensityModel, _check_integer
+from .kde import DensityModel, _check_integer, _hessian_mats
 from .modes import ModeCandidate
 
 __all__ = [
@@ -75,6 +75,7 @@ class EigenPortrait:
 # --- resampling core ---------------------------------------------------------
 
 _COUNT_BLOCK = 1 << 18  # count entries converted to float64 at a time in _boot: 2 MB
+_GROUP_BYTES = 1 << 18  # split Hessian terms stacked into one product in _boot: 256 KB
 
 
 def _resample_counts(n: int, B: int, seed: int) -> np.ndarray:
@@ -145,36 +146,58 @@ def bootstrap_hessian_batch(Y, h: float, points, B: int, seed: int) -> list[Boot
     for i, at in enumerate(points):
         if at.shape != (model.d,) or not np.all(np.isfinite(at)):
             raise ValueError(f"point {i} must be {model.d} finite coordinates, got {at}")
-    return _boot(model, points, _resample_counts(model.n, B, seed))
+    return list(_boot(((model, at) for at in points), _resample_counts(model.n, B, seed)))
 
 
-def _boot(model: DensityModel, points, counts: np.ndarray) -> list[BootstrapDraws]:
-    """Bootstrap draws of the model's Hessian at each point, one replicate per row of
-    the (B, n) multiplicity matrix counts (_resample_counts).
+def _boot(pairs, counts: np.ndarray):
+    """Bootstrap draws of the Hessian at each (model, point) pair, yielded in order, one
+    replicate per row of the (B, n) multiplicity matrix counts (_resample_counts); the
+    models share their n points and differ at most in h.
 
-    The integer counts are converted to float64 in blocks of rows of at most
-    _COUNT_BLOCK entries; each replicate's Hessian is its own row's exact sum
-    (DensityModel._hessians), so the bits do not depend on the blocks.
+    Consecutive pairs form groups whose split terms (DensityModel._hessian_terms),
+    written straight into one buffer, take at most _GROUP_BYTES, or one pair's
+    worth if that is more.  For each block of rows of at most _COUNT_BLOCK count
+    entries, converted to float64 once per group, one product with the buffer
+    gives every pair's sums, and one product with a row of ones their point
+    estimates; each pair's Hessians come from its own columns
+    (kde._hessian_mats).  Every sum is exact (DensityModel._hessians), so the
+    bits depend neither on the blocks nor on the groups.  A group's draws are
+    yielded before the next group's terms are built, and a model is released
+    once its pairs are read, so that pairs may build one model at a time.
     """
-    ones = np.ones((1, model.n))
-    step = max(1, _COUNT_BLOCK // model.n)
-    out = []
-    for at in points:
-        split = model._hessian_terms(at)
-        hess = np.concatenate([model._hessians(counts[lo:lo + step].astype(np.float64), split)
-                               for lo in range(0, counts.shape[0], step)])
-        # eigvalsh sorts ascending; rows are reported descending
-        lam_star = np.linalg.eigvalsh(hess)[:, ::-1]
-        lam_hat = np.linalg.eigvalsh(model._hessians(ones, split))[0, ::-1]
-        out.append(
-            BootstrapDraws(
-                lambda_star=lam_star,
-                s_star=esp_forward(lam_star),
-                lambda_hat=lam_hat,
-                s_hat=esp_forward(lam_hat),
-            )
-        )
-    return out
+    B, n = counts.shape
+    step = max(1, _COUNT_BLOCK // n)
+    pairs, slices = iter(pairs), None
+    while True:
+        group = []  # (shift, scale) of each pair whose split is in slices
+        for model, at in pairs:
+            if slices is None:  # 2K = d(d + 1) rows per pair
+                d, width = model.d, model.d * (model.d + 1)
+                slices = np.empty((max(1, _GROUP_BYTES // (8 * width * n)) * width, n))
+            rows = slices[len(group) * width:(len(group) + 1) * width]
+            group.append((model._hessian_terms(at, out=rows)[1], model._hessian_scale))
+            del model  # the caller's next model is not built while this one is held
+            if len(group) * width == slices.shape[0]:
+                break
+        if not group:
+            return
+        stacked = slices[:len(group) * width]
+        sums = np.empty((B, stacked.shape[0]))
+        for lo in range(0, B, step):
+            np.matmul(counts[lo:lo + step].astype(np.float64), stacked.T, out=sums[lo:lo + step])
+        hat = np.ones((1, n)) @ stacked.T
+        mats = np.empty((len(group), B + 1, d, d))  # each pair's B draws, then its estimate
+        for g, (shift, scale) in enumerate(group):
+            cols = slice(g * width, (g + 1) * width)
+            mats[g, :B] = _hessian_mats(sums[:, cols], shift, scale, n)
+            mats[g, B] = _hessian_mats(hat[:, cols], shift, scale, n)[0]
+        # eigvalsh, a LAPACK call per matrix, sorts ascending; rows are reported descending
+        lam = np.linalg.eigvalsh(mats)[..., ::-1]
+        esp = esp_forward(lam.reshape(-1, d)).reshape(lam.shape)
+        del mats, sums
+        for g in range(len(group)):
+            yield BootstrapDraws(lambda_star=lam[g, :B], s_star=esp[g, :B],
+                                 lambda_hat=lam[g, B], s_hat=esp[g, B])
 
 
 # --- confidence sets ---------------------------------------------------------

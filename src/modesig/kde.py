@@ -15,7 +15,8 @@ once, by the code that enforces it:
   (query weights, Hessian terms, and the grid and band factors of _axis_factor)
 - cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
 - BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM), both checked by
-  experiment; the bootstrap Hessians' product is exact, so invariant by arithmetic: _hessians
+  experiment; the bootstrap Hessians' product is exact, so invariant by arithmetic: _hessians;
+  the sums that polish each mode take no BLAS product at all: _stationary_sums
 - grids from per-axis factors, made once per span of each axis, in bounded tiles: _grid_tiles
 - the persistence band's exact product: persist._exact_deviations, and the sample
   points and grid points it skips, by a bound from the weights and one interpolated
@@ -24,11 +25,14 @@ once, by the code that enforces it:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["DensityModel", "as_points"]
 
 _BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
+_DIRECT_ENTRIES = 1 << 17  # (query, coordinate, sample) entries per block of _stationary_sums: 1 MB
 _CELL_POINTS = 512  # sample points per cell at most (_split_cells); one cell takes no bound work
 # Columns of _aug per cell are a multiple of _PAD, so every exponent product is a multiple of
 # 8 columns wide; OpenBLAS 0.3.31 splits such a GEMM the same way at any thread count (at other
@@ -442,9 +446,47 @@ class DensityModel:
 
     # -- Hessians of reweighted samples, shared with the bootstrap --
 
-    def _hessian_terms(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _stationary_sums(self, q: np.ndarray, hessian: bool):
+        """(density, gs, hs) at each row of q, (m, d): the density norm * sum_i e_i,
+        gs = sum_i e_i u_i as (m, d) and, if hessian, hs = sum_i e_i (u_i u_i^T - I)
+        as (m, d, d), else None, with u_i = (q_j - X_i) / h and e_i = exp(-||u_i||^2 / 2)
+        from direct differences, flushed as in _hessian_terms.
+
+        The gradient is -norm / h * gs and the Hessian norm / h^2 * hs.  Each
+        sum over the sample is numpy's pairwise sum along a contiguous last
+        axis, with no BLAS product, so a row's bits depend neither on its
+        batch nor on the BLAS thread count.  hs[j, a, b] multiplies e_i u_ia
+        by u_ib, so it need not equal hs[j, b, a] in the last bit.  Rows go in
+        blocks of at most _DIRECT_ENTRIES (row, coordinate, point) entries.
+        """
+        m, d = q.shape
+        density, gs = np.empty(m), np.empty((m, d))
+        hs = np.empty((m, d, d)) if hessian else None
+        step = max(1, _DIRECT_ENTRIES // (d * self.n))
+        # a C-ordered copy: with the strided points.T, u came out ordered (rows, n, d), and
+        # every sum over the sample ran 10 to 20 times slower
+        points_t = np.ascontiguousarray(self.points.T)
+        for rows in (slice(lo, lo + step) for lo in range(0, m, step)):
+            u = q[rows, :, None] - points_t  # (rows, d, n)
+            u /= self.h
+            e = self._exp_flushed(-0.5 * np.sum(u**2, axis=1),
+                                  np.max(np.sum((q[rows] - self._center) ** 2, axis=1))
+                                  / (2.0 * self.h**2))
+            total = np.sum(e, axis=1)
+            density[rows] = self._norm * total
+            eu = e[:, None, :] * u
+            gs[rows] = np.sum(eu, axis=2)
+            if hessian:
+                for a in range(d):
+                    hs[rows, a] = np.sum(eu[:, a, None, :] * u, axis=2)
+                hs[rows, range(d), range(d)] -= total[:, None]
+        return density, gs, hs
+
+    def _hessian_terms(self, at: np.ndarray, out: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
         """Per-point Hessian contributions at a fixed point, split for _hessians'
-        exact product, as (slices, shift).
+        exact product, as (slices, shift); the slices are written into out, a
+        C-ordered (2K, n) float64 array, when it is given.
 
         The terms are K = d(d+1)/2 rows over the n points: row r holds
         e_i * (u_i u_i^T - I) at lower-triangle entry np.tril_indices(d)[r],
@@ -468,7 +510,7 @@ class DensityModel:
         rows, cols = np.tril_indices(self.d)
         # The terms are built in the second slice's rows, one row at a time, and split in
         # place there, so no other (K, n) array is made.
-        slices = np.empty((2 * rows.size, self.n))
+        slices = np.empty((2 * rows.size, self.n)) if out is None else out
         lead, terms = slices[:rows.size], slices[rows.size:]
         for r, (i, j) in enumerate(zip(rows, cols)):
             np.multiply(u[i], u[j], out=terms[r])
@@ -503,18 +545,26 @@ class DensityModel:
         not on the library.  The two slices' sums are added in one rounding,
         then the row scaling is undone exactly, by a power of two (but for
         results below the smallest normal float), and the result times the
-        kernel's constant is rounded once more.
+        kernel's constant is rounded once more (_hessian_mats).  So a product
+        over many candidates' slices stacked by rows gives each candidate's
+        columns the same bits (boot._boot).
         """
         slices, shift = split
-        k = shift.size
-        sums = counts @ slices.T  # (B, 2K), exact
-        vech = self._hessian_scale * np.ldexp(
-            sums[:, :k] + np.ldexp(sums[:, k:], -_split_bits(self.n)), -shift)
-        rows, cols = np.tril_indices(self.d)
-        mats = np.zeros((vech.shape[0], self.d, self.d))
-        mats[:, rows, cols] = vech
-        mats[:, cols, rows] = vech
-        return mats
+        return _hessian_mats(counts @ slices.T, shift, self._hessian_scale, self.n)
+
+
+def _hessian_mats(sums: np.ndarray, shift: np.ndarray, scale: float, n: int) -> np.ndarray:
+    """(B, d, d) Hessians from the (B, 2K) exact sums counts @ slices.T of one split
+    (slices, shift) of DensityModel._hessian_terms, on a model of n points whose
+    Hessians' kernel constant is scale (DensityModel._hessian_scale)."""
+    k = shift.size
+    vech = scale * np.ldexp(sums[:, :k] + np.ldexp(sums[:, k:], -_split_bits(n)), -shift)
+    d = (math.isqrt(8 * k + 1) - 1) // 2  # k = d(d+1)/2
+    rows, cols = np.tril_indices(d)
+    mats = np.zeros((vech.shape[0], d, d))
+    mats[:, rows, cols] = vech
+    mats[:, cols, rows] = vech
+    return mats
 
 
 def _split_bits(n: int) -> int:

@@ -24,31 +24,51 @@ A trajectory stops at the first accepted point a with step length
 
     grad p(a) = p(a) / h**2 * (m(a) - a),
 
-so the returned location, the point where the small step was measured, has
-gradient norm below ``p(a) * step_tol / h**2`` by construction, and the
+so an endpoint has gradient norm below ``p(a) * step_tol / h**2``, and the
 sweep already knows its density.
 
 A trajectory that comes close to a known mode is stopped there, as in
 Carreira-Perpinan's acceleration strategies: after each sweep, the endpoints
-that converged in it join a captured set, collapsed on the merge pitch
-below, first member per key.  Before each later sweep, the final one
-included, an active row within ``CAPTURE_TOL * h`` of a member finishes
-converged without being evaluated, at that member's location and density.
-So every endpoint, and every reported location, is still a point where a
-small step was measured.  The capture radius lies far below ``merge_tol``,
-and a captured row shares its member's collapse key, so it always joins its
-member's cluster.
+that converged in it join a captured set, collapsed on the grid of pitch
+``COLLAPSE_PITCH * h``, first member per key.  Before each later sweep, the
+final one included, an active row within ``CAPTURE_TOL * h`` of a member
+finishes converged without being evaluated, at that member's location and
+density.  Endpoints with one key lie within sqrt(d) * COLLAPSE_PITCH * h of
+each other, so a row closer than (CAPTURE_TOL - sqrt(d) COLLAPSE_PITCH) h
+to any converged endpoint is captured (for d < 100).  The capture radius
+lies far below ``merge_tol``, and a captured row shares its member's
+collapse key, so it always joins its member's cluster.
 
 Converged endpoints are merged by single linkage at
-``merge_tol = MERGE_TOL * h``; one density order of the endpoints picks each
-cluster's candidate, its highest-density endpoint, and orders the
-candidates.  A run in which nothing converges takes the same path and yields
-no candidate.  All three tolerances are fixed multiples of the bandwidth, so
-behavior does not depend on the units of the data.
+``merge_tol = MERGE_TOL * h``, after collapsing them on the same grid; one
+density order of the endpoints picks each cluster's endpoint, its
+highest-density one.  A run in which nothing converges takes the same path
+and yields no candidate.
+
+Each cluster's endpoint is then polished to the density's stationary point
+by chord-Newton steps x <- x + h Hs^-1 gs (Nocedal & Wright, ch. 3), with
+gs = sum_i e_i u_i recomputed at every step and Hs = sum_i e_i (u_i u_i^T - I)
+built once, at the endpoint, where u_i = (x - X_i) / h and
+e_i = exp(-||u_i||^2 / 2) come from direct differences
+(DensityModel._stationary_sums, no BLAS product: thread-invariant by
+construction).  A stationary point of p is a mean-shift fixed point, so
+every endpoint of a basin leads to the same location, to rounding: which
+endpoint a cluster keeps, and so which rows were run, does not move what
+is reported.  That is what lets the step tolerance sit at 1e-5 h.  The
+polish of a candidate stops once its step falls below 1e-12 h, once
+||gs|| stops falling, or after _POLISH_STEPS steps.  Where Hs is not
+negative definite, or where a step would take the candidate more than
+merge_tol / 2 from its endpoint, the candidate stays at its endpoint and
+is counted as unpolished.  Candidates are reported by descending density,
+(2 pi)^(-d/2) / (n h^d) * sum_i e_i at the reported location.  Every
+tolerance is a fixed multiple of the bandwidth, so behavior does not depend
+on the units of the data.
 
 References: Carreira-Perpinan, "Acceleration strategies for Gaussian
-mean-shift image segmentation" (CVPR 2006); Walker & Ni, "Anderson
-acceleration for fixed-point iterations" (SIAM J. Numer. Anal. 2011).
+mean-shift image segmentation" (CVPR 2006) and "Gaussian mean-shift is an
+EM algorithm" (IEEE TPAMI 2007); Walker & Ni, "Anderson acceleration for
+fixed-point iterations" (SIAM J. Numer. Anal. 2011); Nocedal & Wright,
+*Numerical Optimization* (2006).
 """
 
 from __future__ import annotations
@@ -62,9 +82,12 @@ from .kde import DensityModel, _check_integer, _row_blocks, as_points
 __all__ = ["MeanShiftOptions", "ModeCandidate", "ClusterAssignment", "find_modes"]
 
 
-STEP_TOL = 1e-7  # a trajectory stops once its step is shorter than STEP_TOL * h
+STEP_TOL = 1e-5  # a trajectory stops once its step is shorter than STEP_TOL * h
 MERGE_TOL = 1e-2  # endpoints closer than MERGE_TOL * h merge (single linkage)
-CAPTURE_TOL = 1e-4  # an active row within CAPTURE_TOL * h of a converged endpoint stops there
+CAPTURE_TOL = 1e-3  # an active row within CAPTURE_TOL * h of a converged endpoint stops there
+COLLAPSE_PITCH = 1e-4  # endpoints are collapsed on a grid of pitch COLLAPSE_PITCH * h
+_POLISH_STEPS = 8  # chord-Newton steps per candidate at most; 4 sufficed on every input tried
+_POLISH_TOL = 1e-12  # a candidate's polish stops once its step is below _POLISH_TOL * h
 
 
 @dataclass(frozen=True)
@@ -87,10 +110,13 @@ class MeanShiftOptions:
 class ModeCandidate:
     """A located mode: position, density there, and how it was reached.
 
-    iterations is the largest number of sweeps, rejected extrapolations
-    included, that a converged trajectory of its basin took before the sweep
-    that found it converged; a captured trajectory counts its sweeps up to
-    its capture.
+    location is the density's stationary point that its cluster's endpoint
+    was polished to, or that endpoint where the polish was refused
+    (ClusterAssignment.diagnostics["n_unpolished"]); density_value is the
+    density there, from direct differences.  iterations is the largest
+    number of sweeps, rejected extrapolations included, that a converged
+    trajectory of its basin took before the sweep that found it converged;
+    a captured trajectory counts its sweeps up to its capture.
     """
 
     location: np.ndarray
@@ -112,9 +138,11 @@ class ClusterAssignment:
     next (ascent check; inf if no trajectory took an accepted step),
     n_rejected, the extrapolations the safeguard rejected, n_captured, the
     trajectories stopped within CAPTURE_TOL * h of an endpoint that converged
-    in an earlier sweep (counted as converged), and n_unconverged, the
-    non-converged count.  With no candidate, grad_norms is empty and
-    grad_tol is NaN.
+    in an earlier sweep (counted as converged), n_unconverged, the
+    non-converged count, n_unpolished, the candidates kept at their
+    endpoints because their Newton polish was refused, and polish_steps, the
+    most Newton steps any candidate took.  With no candidate, grad_norms is
+    empty and grad_tol is NaN.
     """
 
     labels: np.ndarray
@@ -142,9 +170,9 @@ def find_modes(
     -------
     (candidates, assignment)
         Candidates sorted by descending density value, ties in the order
-        of their clusters' collapsed endpoint keys; none if no trajectory
-        converged.  assignment labels every mesh point and flags
-        non-converged trajectories.
+        of their endpoints' densities, then of their clusters' collapsed
+        endpoint keys; none if no trajectory converged.  assignment labels
+        every mesh point and flags non-converged trajectories.
 
     Kernel weights and endpoint comparisons are blocked by one memory budget.
     """
@@ -193,7 +221,7 @@ def find_modes(
         active = active[~finish]
         if np.any(done):
             rows = np.concatenate([captured, fin_rows[done[finish]]])
-            _, first = np.unique(_collapse_keys(current[rows], merge_tol), axis=0,
+            _, first = np.unique(_collapse_keys(current[rows], model.h), axis=0,
                                  return_index=True)
             captured = rows[np.sort(first)]
 
@@ -273,13 +301,13 @@ def _nearest(points, members):
     return dist2, nearest
 
 
-def _collapse_keys(pts, merge_tol):
-    """Integer keys of pts on the collapse grid, of pitch merge_tol * 1e-3.
+def _collapse_keys(pts, h):
+    """Integer keys of pts on the collapse grid, of pitch COLLAPSE_PITCH * h.
 
     Endpoints of one basin agree to ~step_tol, so they share a few keys;
     points with one key lie within sqrt(d) * pitch of each other.
     """
-    return np.round(pts / (merge_tol * 1e-3)).astype(np.int64)
+    return np.round(pts / (COLLAPSE_PITCH * h)).astype(np.int64)
 
 
 def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol,
@@ -291,7 +319,7 @@ def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol
 
     # Collapse on a grid far finer than merge_tol, then do exact single
     # linkage on the few survivors.
-    uniq, group_of = np.unique(_collapse_keys(pts, merge_tol), axis=0, return_inverse=True)
+    uniq, group_of = np.unique(_collapse_keys(pts, model.h), axis=0, return_inverse=True)
 
     # Representative endpoint per collapsed group: its first member in
     # `order` (density descending, index ascending on ties).
@@ -315,13 +343,17 @@ def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol
         label = spread
     component = label[group_of]
 
-    # A component's candidate is its first endpoint in `order`.  Candidates
-    # run by descending density, ties in component order; `rank` maps a
+    # A component's endpoint is its first in `order`; polished, it becomes the
+    # candidate.  Candidates run by descending polished density, ties in the
+    # order of the endpoints' densities, then of the components; `rank` maps a
     # component's label to its candidate's index.
     roots, first = np.unique(component[order], return_index=True)
     by_density = np.argsort(-dens[order[first]], kind="stable")
-    best = order[first[by_density]]
-    k = best.size
+    locations, values, unpolished, steps = _polish(model, pts[order[first[by_density]]],
+                                                   merge_tol)
+    resort = np.argsort(-values, kind="stable")
+    by_density, locations, values = by_density[resort], locations[resort], values[resort]
+    k = values.size
     rank = np.empty(label.shape[0], dtype=np.int64)
     rank[roots[by_density]] = np.arange(k)
     member = rank[component]
@@ -329,12 +361,11 @@ def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol
     max_iters = np.zeros(k, dtype=np.int64)
     np.maximum.at(max_iters, member, iterations[conv_idx])
 
-    locations = pts[best]
     locations.setflags(write=False)
     candidates = [
-        ModeCandidate(location=loc, density_value=float(dens[b]), basin_size=int(size),
+        ModeCandidate(location=loc, density_value=float(value), basin_size=int(size),
                       iterations=int(iters))
-        for loc, b, size, iters in zip(locations, best, basin, max_iters)
+        for loc, value, size, iters in zip(locations, values, basin, max_iters)
     ]
 
     labels = np.full(endpoint.shape[0], -1, dtype=np.int64)
@@ -352,8 +383,48 @@ def _merge_candidates(model, endpoint, density, iterations, converged, merge_tol
             "min_ascent_delta": min_ascent_delta,
             "n_rejected": n_rejected,
             "n_captured": n_captured,
+            "n_unpolished": int(np.count_nonzero(unpolished)),
+            "polish_steps": int(np.max(steps, initial=0)),
             "grad_norms": np.linalg.norm(model.gradient(locations), axis=1),
-            "grad_tol": 1e-6 * (float(dens[best[0]]) if k else np.nan) / model.h,
+            "grad_tol": 1e-6 * (float(values[0]) if k else np.nan) / model.h,
         },
     )
     return candidates, assignment
+
+
+def _polish(model, ends, merge_tol):
+    """Chord-Newton steps x <- x + h Hs^-1 gs from each row of ends, (k, d), toward
+    the density's stationary point (the module docstring states the rules);
+    returns (locations, densities, unpolished, steps) per row.
+
+    Hs^-1 gs comes from Hs's eigenvectors V and eigenvalues lam, as
+    V diag(1 / lam) V^T gs in numpy's elementwise loops; eigh reads Hs's
+    lower triangle and tells whether it is negative definite.
+    """
+    x = ends.copy()
+    start, g, hs = model._stationary_sums(x, hessian=True)
+    dens = start.copy()
+    lam, vec = np.linalg.eigh(hs)
+    unpolished = ~np.all(lam < 0.0, axis=1)
+    size = np.linalg.norm(g, axis=1)
+    steps = np.zeros(x.shape[0], dtype=np.int64)
+    active = np.flatnonzero(~unpolished)
+    for _ in range(_POLISH_STEPS):
+        coef = np.sum(vec[active] * g[active, :, None], axis=1) / lam[active]
+        step = model.h * np.sum(vec[active] * coef[:, None, :], axis=2)
+        y = x[active] + step
+        far = np.linalg.norm(y - ends[active], axis=1) > merge_tol / 2
+        unpolished[active[far]] = True
+        # a step below _POLISH_TOL * h is not taken: the candidate has converged
+        move = ~far & (np.linalg.norm(step, axis=1) >= _POLISH_TOL * model.h)
+        active, y = active[move], y[move]
+        if active.size == 0:
+            break
+        p, gy, _ = model._stationary_sums(y, hessian=False)
+        size_y = np.linalg.norm(gy, axis=1)
+        better = size_y < size[active]  # nor is a step that does not lower ||gs||
+        active, y = active[better], y[better]
+        x[active], dens[active], g[active], size[active] = y, p[better], gy[better], size_y[better]
+        steps[active] += 1
+    x[unpolished], dens[unpolished] = ends[unpolished], start[unpolished]
+    return x, dens, unpolished, steps

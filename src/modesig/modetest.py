@@ -14,6 +14,7 @@ honest sampling distribution of the Hessian at a point.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -93,27 +94,41 @@ def _mode_tests(X: np.ndarray, Y: np.ndarray, cfg: ModeTestConfig, hs) -> list[M
 
     Stage 1 runs at every h before the bootstrap counts are drawn, so no
     (B, len(Y)) count matrix is alive during it; that one draw, a function
-    of (len(Y), B, boot_seed) alone, then serves stage 2 at every h, where
-    one model of Y gives the gradient norms and the Hessian draws.
+    of (len(Y), B, boot_seed) alone, then serves stage 2 at every h.  There
+    one model of Y at a time gives an h's gradient norms and its candidates'
+    (model, location) pairs; the pairs of every h go to one boot._boot, which
+    stacks consecutive candidates, across bandwidths, into one exact product
+    per count block, and each h's draws are turned into portraits as they
+    come, so the draws of the whole scan are never alive at once.
     """
     found = [find_modes(DensityModel(X, h), mesh=None, opts=cfg.mean_shift) for h in hs]
     counts = boot._resample_counts(Y.shape[0], cfg.B, cfg.boot_seed)
+    grad_norms = deque()  # of each h with candidates, appended before its pairs are read
+
+    def pairs():
+        for h, (candidates, _) in zip(hs, found):
+            if candidates:
+                model = DensityModel(Y, h)
+                locations = np.array([c.location for c in candidates])
+                grad_norms.append(np.linalg.norm(model.gradient(locations), axis=1))
+                for at in locations:
+                    yield model, at
+                del model  # freed before the next h's model is built
+
+    draws = boot._boot(pairs(), counts)
     reports = []
-    for h, (candidates, assignment) in zip(hs, found):
-        model = DensityModel(Y, h)
+    for candidates, assignment in found:
         k = len(candidates)
-        locations = np.array([c.location for c in candidates]).reshape(k, model.d)
-        grad_norms = np.linalg.norm(model.gradient(locations), axis=1)
-        portraits = tuple(
+        portraits = tuple(  # zip reads no draw past the last candidate
             replace(eigen_rectangles(draw, esp_quantile(draw, cfg.alpha / k)), mode=cand)
-            for cand, draw in zip(candidates, boot._boot(model, locations, counts))
+            for cand, draw in zip(candidates, draws)
         )
         reports.append(ModeTestReport(
             candidates=tuple(candidates),
             portraits=portraits,
             k=k,
             significant_count=sum(p.significant for p in portraits),
-            stage2_gradient_norms=grad_norms,
+            stage2_gradient_norms=grad_norms.popleft() if k else np.zeros(0),
             assignment=assignment,
         ))
     return reports

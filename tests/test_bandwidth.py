@@ -1,5 +1,6 @@
 """Bandwidth scans: grid construction, the argmax rule, scan invariants."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from modesig import (
+    DensityModel,
     GeneratorSpec,
     ModeTestConfig,
     boot,
     default_grid,
+    find_modes,
     generate,
     mode_test_on_split,
     modetest,
@@ -19,6 +22,12 @@ from modesig import (
     select_bandwidth,
     split,
 )
+
+
+def three_blobs(n, seed):
+    """A 2-d mixture whose scan below gives 32, 7, 3 and 3 candidates."""
+    return generate(GeneratorSpec(family="mixture", n=n, seed=seed,
+                                  params={"means": [[-6.0, 0.0], [0.0, 0.0], [6.0, 3.0]]}))
 
 
 def bimodal(n, seed):
@@ -147,6 +156,66 @@ class TestScan:
         monkeypatch.setattr(modetest, "find_modes", no_stage_1)
         with pytest.raises(ValueError, match="B must be >= 1 and an integer, got 2.5"):
             scan(bimodal(100, seed=6), grid=np.array([0.5, 1.0]), cfg=ModeTestConfig(h=1.0, B=2.5))
+
+
+class TestStackedStage2:
+    """Stage 2 stacks consecutive candidates, across bandwidths, into one exact product."""
+
+    @staticmethod
+    def run(monkeypatch, per_group, data, grid, cfg):
+        """scan's result and the bytes of every draw's lambda_star and lambda_hat, with
+        per_group candidates per product."""
+        _, Y = split(data, cfg.split_seed)
+        width = Y.shape[1] * (Y.shape[1] + 1)  # 2K slice rows per candidate
+        monkeypatch.setattr(boot, "_GROUP_BYTES", per_group * 8 * width * Y.shape[0])
+        seen, stacked = [], boot._boot
+
+        def spy(pairs, counts):
+            for draw in stacked(pairs, counts):
+                seen.append((draw.lambda_star.tobytes(), draw.lambda_hat.tobytes()))
+                yield draw
+
+        monkeypatch.setattr(boot, "_boot", spy)
+        res = scan(data, grid=grid, cfg=cfg)
+        monkeypatch.undo()
+        return res, seen
+
+    def test_groups_give_the_same_bytes(self, monkeypatch):
+        data, grid = three_blobs(300, seed=1), np.array([0.3, 0.5, 0.8, 1.3])
+        cfg = ModeTestConfig(h=1.0, B=60)
+        ref, ref_draws = self.run(monkeypatch, 1, data, grid, cfg)
+        assert ref.candidate_counts.tolist() == [32, 7, 3, 3]  # groups of 2, 3 and 5 cross h
+        assert len(ref_draws) == 45
+        for per_group in (2, 3, 5, 45):
+            res, draws = self.run(monkeypatch, per_group, data, grid, cfg)
+            assert draws == ref_draws, per_group
+            assert np.array_equal(res.candidate_counts, ref.candidate_counts)
+            for rep, want in zip(res.reports, ref.reports):
+                for a, b in zip(rep.portraits, want.portraits, strict=True):
+                    assert a.rectangles.tobytes() == b.rectangles.tobytes(), per_group
+
+    def test_stage_2_memory_bounded(self, monkeypatch):
+        # 163 candidates over 8 bandwidths, whose draws alone take 5.2 MB; stage 2 holds
+        # the uint16 counts, one float64 block of them and one group of candidates at a
+        # time: its slices, and per replicate and candidate its 6 sums, 4 Hessian
+        # entries, 2 eigenvalues and 2 ESPs, fewer than 16 floats
+        data, grid = three_blobs(600, seed=1), np.geomspace(0.2, 1.5, 8)
+        cfg = ModeTestConfig(h=1.0, B=1000)
+        X, Y = split(data, cfg.split_seed)
+        found = [find_modes(DensityModel(X, h)) for h in grid]
+        assert sum(len(c) for c, _ in found) == 163
+        stage_1 = iter(found)
+        monkeypatch.setattr(modetest, "find_modes", lambda *args, **kwargs: next(stage_1))
+        tracemalloc.start()
+        try:
+            modetest._mode_tests(X, Y, cfg, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n, B = Y.shape[0], cfg.B
+        per_group = boot._GROUP_BYTES // (8 * 6 * n)
+        bound = 10 * B * n + boot._GROUP_BYTES + 8 * 16 * (B + 1) * per_group + 2**20
+        assert peak < bound, f"stage 2 peaked at {peak / 2**20:.2f} MB, over {bound / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("count", [2.5, 3.0, True])

@@ -115,7 +115,7 @@ class TestDraws:
         model, at = DensityModel(Y, 0.8), np.array([0.1, -0.2, 0.3])
         counts = boot._resample_counts(300, 9, 3)
         monkeypatch.setattr(boot, "_COUNT_BLOCK", 2 * 300 + 1)
-        (draws,) = boot._boot(model, [at], counts)
+        (draws,) = boot._boot([(model, at)], counts)
         whole = model._hessians(counts.astype(np.float64), model._hessian_terms(at))
         assert np.array_equal(draws.lambda_star, np.linalg.eigvalsh(whole)[:, ::-1])
 

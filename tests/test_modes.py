@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from modesig import (DensityModel, GeneratorSpec, MeanShiftOptions, default_grid, find_modes,
-                     generate, modes, split)
-from oracles import mean_shift_step, plain_mean_shift
+                     generate, kde, modes, split)
+from oracles import kde_reference, mean_shift_step, plain_mean_shift
 
 
 def two_cluster_data(seed=0, sep=5.0, n=100):
@@ -344,7 +344,7 @@ class TestCapture:
         sweep, captured = modes._sweep, 0
         for data, h in self.cases():
             m = DensityModel(data, h)
-            radius = (modes.CAPTURE_TOL - np.sqrt(m.d) * modes.MERGE_TOL * 1e-3) * h
+            radius = (modes.CAPTURE_TOL - np.sqrt(m.d) * modes.COLLAPSE_PITCH) * h
             ends = [np.empty((0, m.d))]  # endpoints that converged in earlier sweeps
 
             def spy(model, rows, final, step_tol, current, *state):
@@ -374,3 +374,62 @@ class TestCapture:
             assert np.array_equal(asg.converged, plain_asg.converged), h
             for c, p in zip(cands, plain):
                 assert np.linalg.norm(c.location - p.location) <= 60 * modes.STEP_TOL * h
+
+
+class TestPolish:
+    """Each candidate is polished to the density's stationary point."""
+
+    def test_location_does_not_depend_on_the_endpoint_kept(self, monkeypatch):
+        # without capture and with 3-row kernel blocks, other rows are run and their
+        # endpoints differ in the last bits, so clusters keep other endpoints; those
+        # lie up to about STEP_TOL * h apart, and their polished candidates agree
+        for data, h in TestCapture.cases():
+            m = DensityModel(data, h)
+            cands, asg = find_modes(m)
+            monkeypatch.setattr(modes, "CAPTURE_TOL", 0.0)
+            monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 3 * m.n)
+            other, other_asg = find_modes(m)
+            monkeypatch.undo()
+            assert asg.diagnostics["n_unpolished"] == other_asg.diagnostics["n_unpolished"] == 0
+            assert len(cands) == len(other), h
+            for c, o in zip(cands, other):
+                assert np.linalg.norm(c.location - o.location) <= 1e-12 * h, h
+
+    def test_candidates_are_stationary_points(self):
+        # h ||grad p|| / p at each candidate, in np.longdouble from direct differences
+        steps = 0
+        for data, h in TestCapture.cases():
+            m = DensityModel(data, h)
+            cands, asg = find_modes(m)
+            locations = np.array([c.location for c in cands])
+            density, grad, _ = kde_reference(m.points, h, locations)
+            rel = h * np.linalg.norm(grad.astype(np.float64), axis=1) / density.astype(np.float64)
+            assert np.all(rel <= 1e-12), (h, np.max(rel))
+            assert_allclose([c.density_value for c in cands], density.astype(np.float64),
+                            rtol=1e-13)
+            steps = max(steps, asg.diagnostics["polish_steps"])
+        assert 0 < steps <= modes._POLISH_STEPS
+
+    def test_degenerate_candidate_kept_at_its_endpoint(self):
+        # two points 2 h apart: between them the density is flat to fourth order, and its
+        # Hessian there is exactly 0, not negative definite; a start at the midpoint is a
+        # mean-shift fixed point by symmetry
+        m = DensityModel([-1.0, 1.0], 1.0)
+        cands, asg = find_modes(m, mesh=[[0.0]])
+        assert len(cands) == 1 and cands[0].location.tolist() == [0.0]
+        assert asg.diagnostics["n_unpolished"] == 1
+        assert asg.diagnostics["polish_steps"] == 0
+        assert cands[0].density_value == m.density([0.0])
+
+    def test_far_step_refused(self, monkeypatch):
+        # a merge tolerance far below the first Newton step: every candidate stays at
+        # its endpoint, where a run without any polish step leaves it too
+        data, h = two_cluster_data(seed=5), 0.8
+        monkeypatch.setattr(modes, "MERGE_TOL", 1e-9)
+        cands, asg = find_modes(DensityModel(data, h))
+        monkeypatch.setattr(modes, "_POLISH_STEPS", 0)
+        ends, end_asg = find_modes(DensityModel(data, h))
+        assert asg.diagnostics["n_unpolished"] == len(cands) > 0
+        assert end_asg.diagnostics["n_unpolished"] == 0
+        assert [c.location.tobytes() for c in cands] == [c.location.tobytes() for c in ends]
+        assert [c.density_value for c in cands] == [c.density_value for c in ends]

@@ -149,8 +149,8 @@ class TestReportShape:
         assert rep.stage2_gradient_norms.shape == (0,)
 
     def test_no_candidate_on_multi_cell_halves(self):
-        # halves of 550 points split into cells (kde._CELL_POINTS = 512), so the
-        # stage-2 gradient at no location takes the cell path with an empty query
+        # halves of 550 points split into cells (kde._CELL_POINTS = 512); with no
+        # candidate, stage 2 reports no portrait and no gradient norm
         data = np.random.default_rng(9).normal(size=(1100, 2))
         rep = run_mode_test(data, ModeTestConfig(h=0.5, B=20, mean_shift=MeanShiftOptions(max_iter=1)))
         assert rep.k == 0 and rep.portraits == ()
@@ -168,8 +168,11 @@ def mixture_halves(d, seed):
 
 @pytest.mark.parametrize("max_iter", [500, 1], ids=["converged", "no_candidate"])
 @pytest.mark.parametrize("d", [1, 2, 10])
-def test_matches_per_candidate_reference(d, max_iter):
-    # max_iter=1 stops every trajectory before it can converge: k = 0
+def test_matches_per_candidate_reference(d, max_iter, monkeypatch):
+    # max_iter=1 with a step tolerance of 1e-300 h stops every trajectory before
+    # it can converge: k = 0 (at STEP_TOL, one 10-d start converges in one sweep)
+    if max_iter == 1:
+        monkeypatch.setattr(modes, "STEP_TOL", 1e-300)
     X, Y = mixture_halves(d, seed=d)
     cfg = ModeTestConfig(h=1.0, B=100, boot_seed=3, mean_shift=MeanShiftOptions(max_iter=max_iter))
     rep, ref = mode_test_on_split(X, Y, cfg), mode_test_reference(X, Y, cfg)
