@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kde import DensityModel, _check_integer, _hessian_mats
+from .kde import DensityModel, _check_integer, _hessian_mats, _row_blocks
 from .modes import ModeCandidate
 
 __all__ = [
@@ -74,7 +74,6 @@ class EigenPortrait:
 
 # --- resampling core ---------------------------------------------------------
 
-_COUNT_BLOCK = 1 << 18  # count entries converted to float64 at a time in _boot: 2 MB
 _GROUP_BYTES = 1 << 18  # split Hessian terms stacked into one product in _boot: 256 KB
 
 
@@ -156,17 +155,25 @@ def _boot(pairs, counts: np.ndarray):
 
     Consecutive pairs form groups whose split terms (DensityModel._hessian_terms),
     written straight into one buffer, take at most _GROUP_BYTES, or one pair's
-    worth if that is more.  For each block of rows of at most _COUNT_BLOCK count
-    entries, converted to float64 once per group, one product with the buffer
-    gives every pair's sums, and one product with a row of ones their point
-    estimates; each pair's Hessians come from its own columns
-    (kde._hessian_mats).  Every sum is exact (DensityModel._hessians), so the
-    bits depend neither on the blocks nor on the groups.  A group's draws are
-    yielded before the next group's terms are built, and a model is released
+    worth if that is more.  A group's product runs over its live columns only, the
+    sample points at which some of its split rows are nonzero: far from a candidate
+    the weights round to 0 in the split, so on two clusters half the columns are
+    dead.  The split rows are compacted in place onto the live columns, and each
+    row block of counts (kde._row_blocks) is gathered onto them and converted to
+    float64 for one product with the buffer, which gives every pair's sums; a row
+    of ones of the live width gives their point estimates.  A group with more than
+    8 / (8 + counts.itemsize) of its columns live, 4/5 for uint16 counts, takes
+    whole count blocks instead, so a gathered block and its float64 copy never
+    take more bytes than a whole block's float64 copy.  Each pair's Hessians come
+    from its own columns (kde._hessian_mats).
+
+    Every sum is exact (DensityModel._hessians): a dead column adds c_bi * 0 = 0
+    to integer partial sums that are exact in any order, so the bits depend
+    neither on the live columns nor on the blocks or the groups.  A group's draws
+    are yielded before the next group's terms are built, and a model is released
     once its pairs are read, so that pairs may build one model at a time.
     """
     B, n = counts.shape
-    step = max(1, _COUNT_BLOCK // n)
     pairs, slices = iter(pairs), None
     while True:
         group = []  # (shift, scale) of each pair whose split is in slices
@@ -182,10 +189,17 @@ def _boot(pairs, counts: np.ndarray):
         if not group:
             return
         stacked = slices[:len(group) * width]
+        live = np.flatnonzero(np.any(stacked, axis=0))
+        if live.size * (8 + counts.itemsize) > 8 * n:
+            live = slice(None)  # every column, or too many to gather
+        else:
+            for row in stacked:  # in place, so no second (2K, n) array is made
+                row[:live.size] = row[live]
+            stacked = stacked[:, :live.size]
         sums = np.empty((B, stacked.shape[0]))
-        for lo in range(0, B, step):
-            np.matmul(counts[lo:lo + step].astype(np.float64), stacked.T, out=sums[lo:lo + step])
-        hat = np.ones((1, n)) @ stacked.T
+        for block in _row_blocks(B, n):
+            np.matmul(counts[block, live].astype(np.float64), stacked.T, out=sums[block])
+        hat = np.ones((1, stacked.shape[1])) @ stacked.T
         mats = np.empty((len(group), B + 1, d, d))  # each pair's B draws, then its estimate
         for g, (shift, scale) in enumerate(group):
             cols = slice(g * width, (g + 1) * width)

@@ -14,6 +14,8 @@ once, by the code that enforces it:
 - every kernel exponential, with sub-tiny weights flushed to exact 0: _exp_flushed
   (query weights, Hessian terms, and the grid and band factors of _axis_factor)
 - cell pruning: _kept_cells, with rows grouped by their run in _weighted_sums
+- memory: every (rows, sample) temporary in row blocks of at most _ROW_ENTRIES entries
+  (_row_blocks), grid tiles within _BLOCK_ENTRIES (_grid_tiles)
 - BLAS thread invariance: sample_sum (ddot) and the _PAD comment (GEMM), both checked by
   experiment; the bootstrap Hessians' product is exact, so invariant by arithmetic: _hessians;
   the sums that polish each mode take no BLAS product at all: _stationary_sums
@@ -31,7 +33,8 @@ import numpy as np
 
 __all__ = ["DensityModel", "as_points"]
 
-_BLOCK_ENTRIES = 1 << 21  # (query, sample) entries per kernel-weight block: 16 MB of float64
+_ROW_ENTRIES = 1 << 18  # entries per block of a (rows, sample) array (_row_blocks): 2 MB of float64
+_BLOCK_ENTRIES = 1 << 21  # entries per grid tile and its factors (_grid_tiles): 16 MB of float64
 _DIRECT_ENTRIES = 1 << 17  # (query, coordinate, sample) entries per block of _stationary_sums: 1 MB
 _CELL_POINTS = 512  # sample points per cell at most (_split_cells); one cell takes no bound work
 # Columns of _aug per cell are a multiple of _PAD, so every exponent product is a multiple of
@@ -104,8 +107,16 @@ def _as_axes(axes, d: int) -> tuple:
 
 
 def _row_blocks(m: int, width: int):
-    """Consecutive row slices of an (m, width) array, each within _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    """Consecutive row slices of an (m, width) array, each within _ROW_ENTRIES entries.
+
+    Kernel weights, squared distances and bootstrap count blocks take these row
+    blocks.  Their products are thin, bound by memory traffic, so larger blocks
+    buy no speed: ten_dim's mean shift took 0.35-0.40 s with 16 MB weight blocks
+    and 0.31-0.33 s with these (2-vCPU Xeon, one BLAS thread).  Grid tiles keep
+    their own, larger budget, _BLOCK_ENTRIES (_grid_tiles): within _ROW_ENTRIES,
+    they made persist_3d's grid and band twice as slow.
+    """
+    step = max(1, _ROW_ENTRIES // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, m, step))
 
 
@@ -352,7 +363,9 @@ class DensityModel:
         """
         cells = self._cell_log_n.size
         kept = np.empty((q.shape[0], 2), dtype=np.intp)
-        for rows in _row_blocks(q.shape[0], self.n):
+        # about eight (rows, cells) arrays are alive at once, within half the row budget as
+        # _weighted_sums' weights are; each row's bounds are its own, whatever its block
+        for rows in _row_blocks(q.shape[0], 16 * cells):
             with np.errstate(over="ignore"):  # an overflow is a bound of -inf: weight 0
                 block = q[rows] - self._center
                 dist = np.zeros((block.shape[0], cells))
@@ -374,31 +387,33 @@ class DensityModel:
         """sum_i w_ji xt[k, i] per query row q_j, as (m, k), over the run of cells the
         row keeps (_kept_cells), in blocks; xt is rows of _aug.
 
-        Rows are sorted stably by their run, and each run's rows, a slice of the
-        sorted copy, take that run's columns of _aug, a view; rows that keep every
-        cell take the whole sample through _exp_weights.  A model of one cell does
-        no bound work and no sort.
+        Rows are ordered stably by their run, and each run's rows take that run's
+        columns of _aug, a view; rows that keep every cell take the whole sample
+        through _exp_weights.  A model of one cell does no bound work and no sort.
+        A block of weights takes at most half the row budget: beside it are its
+        flush mask (_exp_flushed), the (m, k) sums and the rows' order, and on
+        20,000 queries all of them take at most 1.25 budgets (tests/test_kde.py).
         """
         cells = self._cell_log_n.size
-        order, edges, runs = None, [0, q.shape[0]], [(0, 1)]
+        order, edges, runs = np.arange(q.shape[0]), [0, q.shape[0]], [(0, 1)]
         if cells > 1:
-            lo, hi = self._kept_cells(q).T
-            key = lo * (cells + 1) + hi
+            kept = self._kept_cells(q)
+            key = kept[:, 0] * (cells + 1) + kept[:, 1]
+            del kept
             order = np.argsort(key, kind="stable")
             keys, first = np.unique(key[order], return_index=True)
-            q, edges = q[order], [*first, q.shape[0]]
-            runs = [divmod(int(k), cells + 1) for k in keys]
+            edges, runs = [*first, q.shape[0]], [divmod(int(k), cells + 1) for k in keys]
+            del key
         sums = np.empty((q.shape[0], xt.shape[0]))
         for start, stop, (lo, hi) in zip(edges, edges[1:], runs):
-            cols, rows = slice(*self._cell_start[[lo, hi]]), slice(start, stop)
+            cols = slice(*self._cell_start[[lo, hi]])
             aug, part = self._aug[:, cols], xt[:, cols]
-            for block in _row_blocks(stop - start, aug.shape[1]):
-                at = q[rows][block]
+            for block in _row_blocks(stop - start, 2 * aug.shape[1]):
+                rows = order[start:stop][block]
+                at = q[rows]
                 w = self._exp_weights(at) if hi - lo == cells else self._kernel_weights(at, aug)
-                sums[rows][block] = sample_sum(w, part)
+                sums[rows] = sample_sum(w, part)
                 del w  # free this block before the next is built
-        if order is not None:  # back to the rows' order; numpy copies overlapping operands
-            sums[order] = sums
         return sums
 
     def _mean_shift(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

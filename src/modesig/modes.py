@@ -275,7 +275,7 @@ def _sweep(model, rows, final, step_tol, current, target, resid, extrapolated, d
 
 
 def _sq_dist_blocks(a, b):
-    """(rows, ||a[rows, None] - b||^2) over row blocks of a, within the kernel budget.
+    """(rows, ||a[rows, None] - b||^2) over row blocks of a, within the row budget.
 
     The squares are added one coordinate at a time, in coordinate order: a
     sum over a short last axis cost 2 to 4 times as much, in every sweep's

@@ -3,12 +3,16 @@
 The benchmark (bench/) and the demos call into `modesig` from outside the
 package, so a name dropped from the API would only show when they run.
 These checks read their sources and resolve each name they reference.
-The last two keep the kernel-weight blocking inside `modesig.kde` and
-every np.exp inside its sub-tiny flush.
+Two more keep the kernel-weight blocking inside `modesig.kde` and every
+np.exp inside its sub-tiny flush, and the last keeps numpy the only
+runtime dependency.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import modesig
@@ -115,3 +119,41 @@ def test_every_exponential_is_flushed():
     scopes = [s for path in sorted(PACKAGE.glob("*.py"))
               for s in exp_scopes(ast.parse(path.read_text(), filename=str(path)), path.stem)]
     assert scopes == ["kde.DensityModel._exp_flushed"], scopes
+
+
+# Imports outside the standard library and numpy raise ImportError, then the
+# package is imported, runs a small mode test and prints its CLI help.
+ONLY_NUMPY = r"""
+import sys
+from importlib.abc import MetaPathFinder
+
+class Refuse(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top not in sys.stdlib_module_names and top not in ("numpy", "modesig"):
+            raise ImportError(f"{name} is neither in the standard library nor numpy")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+import numpy as np
+import modesig
+from modesig.cli import main
+
+x = np.random.default_rng(0).normal(size=(200, 2))
+x[100:, 0] += 8.0
+rep = modesig.run_mode_test(x, modesig.ModeTestConfig(h=1.0, B=50))
+print("candidates", rep.k)
+try:
+    main(["--help"])
+except SystemExit as stop:
+    print("help exit", stop.code)
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", ONLY_NUMPY], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: modesig" in proc.stdout and proc.stdout.rstrip().endswith("help exit 0"), proc.stdout
+    assert "candidates 0" not in proc.stdout, proc.stdout

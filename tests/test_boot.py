@@ -8,6 +8,7 @@ from modesig import (
     BootstrapDraws,
     boot,
     DensityModel,
+    kde,
     EspConfidenceSet,
     bootstrap_hessian_batch,
     eigen_rectangles,
@@ -114,7 +115,7 @@ class TestDraws:
         Y = np.random.default_rng(4).normal(size=(300, 3))
         model, at = DensityModel(Y, 0.8), np.array([0.1, -0.2, 0.3])
         counts = boot._resample_counts(300, 9, 3)
-        monkeypatch.setattr(boot, "_COUNT_BLOCK", 2 * 300 + 1)
+        monkeypatch.setattr(kde, "_ROW_ENTRIES", 2 * 300 + 1)
         (draws,) = boot._boot([(model, at)], counts)
         whole = model._hessians(counts.astype(np.float64), model._hessian_terms(at))
         assert np.array_equal(draws.lambda_star, np.linalg.eigvalsh(whole)[:, ::-1])
@@ -149,6 +150,72 @@ class TestDraws:
         Y = np.random.default_rng(2).normal(size=(20, 2))
         with pytest.raises(ValueError, match=f"seed must be >= 0 and an integer, got {seed!r}"):
             bootstrap_hessian_batch(Y, 1.0, [np.zeros(2)], B=5, seed=seed)
+
+
+class TestLiveColumns:
+    """_boot contracts each group's split over the sample points where it is nonzero."""
+
+    H = 0.5
+
+    @classmethod
+    def two_clusters(cls):
+        # two 3-d clusters 60 h apart: a candidate's weights round to 0 over the other
+        Y = cls.H * np.random.default_rng(21).normal(size=(400, 3))
+        Y[200:, 0] += 60.0 * cls.H
+        return Y
+
+    @staticmethod
+    def boot_against_whole(model, points, counts, inner=None):
+        """_boot's draws at each point, against _hessians over every column."""
+        for at, draws in zip(points, boot._boot([(model, at) for at in points], counts)):
+            split = model._hessian_terms(at)
+            if inner is not None:
+                inner.append(np.count_nonzero(np.any(split[0], axis=0)))
+            whole = model._hessians(counts.astype(np.float64), split)
+            hat = model._hessians(np.ones((1, model.n)), split)
+            assert draws.lambda_star.tobytes() == np.linalg.eigvalsh(whole)[:, ::-1].tobytes(), at
+            assert draws.lambda_hat.tobytes() == np.linalg.eigvalsh(hat)[0, ::-1].tobytes(), at
+
+    def test_two_clusters_contract_only_their_live_columns(self, monkeypatch):
+        model = DensityModel(self.two_clusters(), self.H)
+        counts = boot._resample_counts(model.n, 30, 6)
+        points = [np.array([0.1, 0.0, -0.1]), np.array([60.0 * self.H, 0.1, 0.0])]
+        # together, the two candidates' columns are all live, and the counts go whole
+        self.boot_against_whole(model, points, counts)
+        # one candidate per group: each product's inner dimension is its live count
+        monkeypatch.setattr(boot, "_GROUP_BYTES", 1)
+        inner, live = [], []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, **kwargs):
+                inner.append(a.shape[1])
+                return np.matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(boot, "np", Spy())
+        self.boot_against_whole(model, points, counts, live)
+        assert 0 < max(live) <= 0.6 * model.n, live
+        assert inner == live, (inner, live)  # one count block each
+
+    def test_no_live_column_gives_zero_hessians(self):
+        model = DensityModel(self.two_clusters(), self.H)
+        far = np.array([30.0 * self.H, 40.0 * self.H, 0.0])  # at least 40 h from every point
+        assert np.min(np.linalg.norm(model.points - far, axis=1)) >= 40.0 * self.H
+        assert not np.any(model._hessian_terms(far)[0])
+        counts = boot._resample_counts(model.n, 12, 2)
+        self.boot_against_whole(model, [far], counts)
+        (draws,) = boot._boot([(model, far)], counts)
+        assert not np.any(draws.lambda_star) and not np.any(draws.lambda_hat)
+
+    def test_gathered_count_blocks_of_two_rows(self, monkeypatch):
+        monkeypatch.setattr(boot, "_GROUP_BYTES", 1)
+        monkeypatch.setattr(kde, "_ROW_ENTRIES", 2 * 400 + 1)
+        model = DensityModel(self.two_clusters(), self.H)
+        points = [np.array([0.2, -0.1, 0.0]), np.array([60.0 * self.H - 0.2, 0.0, 0.1])]
+        self.boot_against_whole(model, points, boot._resample_counts(model.n, 9, 4))
 
 
 class TestQuantile:

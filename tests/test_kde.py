@@ -465,7 +465,8 @@ def test_hessian_sampling_sd_shrinks_at_root_n_rate():
 
 class TestBlocking:
     def test_small_blocks_match_direct_formula(self, monkeypatch):
-        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 3 * 50)  # 3-row blocks, the last partial
+        # 3-row weight blocks (half the budget each, 56 padded columns), the last partial
+        monkeypatch.setattr(kde, "_ROW_ENTRIES", 2 * 3 * 56)
         rng = np.random.default_rng(11)
         for d in (1, 2, 3):
             pts = rng.normal(size=(50, d))
@@ -476,7 +477,7 @@ class TestBlocking:
             assert_allclose(m.gradient(q), grad, rtol=1e-13, atol=1e-13 * np.abs(grad).max())
 
     def test_every_kernel_pair_built_once(self, monkeypatch):
-        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 4 * 30)
+        monkeypatch.setattr(kde, "_ROW_ENTRIES", 4 * 30)
         rng = np.random.default_rng(12)
         m = CountingModel(rng.normal(size=(30, 2)), 1.0)
         q = rng.normal(size=(17, 2))
@@ -501,7 +502,7 @@ class TestBlocking:
         # density reads sum_i w alone; gradient also reads sum_i w (X_i - c)
         rows, sample_sum = [], kde.sample_sum
         monkeypatch.setattr(kde, "sample_sum", lambda w, xt: rows.append(len(xt)) or sample_sum(w, xt))
-        monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 4 * 30)  # 3 blocks of 9 queries
+        monkeypatch.setattr(kde, "_ROW_ENTRIES", 2 * 3 * 32)  # 3 blocks of 9 queries
         rng = np.random.default_rng(17)
         for d in (2, 3, 10):
             m = DensityModel(rng.normal(size=(30, d)), 1.0)
@@ -522,7 +523,7 @@ class TestBlocking:
         cases.append((clouds, clouds[rng.integers(0, 2000, 20_000)] + rng.normal(size=(20_000, 2))))
         for pts, q in cases:
             m = DensityModel(pts, 0.5)
-            assert q.shape[0] * m.n >= 16 * kde._BLOCK_ENTRIES
+            assert q.shape[0] * m.n >= 16 * kde._ROW_ENTRIES
             for evaluate in (m.density, m.gradient):
                 tracemalloc.start()
                 try:
@@ -530,7 +531,7 @@ class TestBlocking:
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                assert peak < 1.25 * kde._BLOCK_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"
+                assert peak < 1.25 * kde._ROW_ENTRIES * 8, f"{evaluate.__name__} peaked at {peak} bytes"
         assert not evaluated_points(m, q).all()
 
     def test_grid_memory_bounded_by_block_budget(self):

@@ -387,7 +387,7 @@ class TestPolish:
             m = DensityModel(data, h)
             cands, asg = find_modes(m)
             monkeypatch.setattr(modes, "CAPTURE_TOL", 0.0)
-            monkeypatch.setattr(kde, "_BLOCK_ENTRIES", 3 * m.n)
+            monkeypatch.setattr(kde, "_ROW_ENTRIES", 2 * 3 * m.n)
             other, other_asg = find_modes(m)
             monkeypatch.undo()
             assert asg.diagnostics["n_unpolished"] == other_asg.diagnostics["n_unpolished"] == 0

@@ -1,6 +1,7 @@
 """End-to-end mode significance testing on a data split."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from modesig import (
     MeanShiftOptions,
     ModeTestConfig,
     generate,
+    kde,
     mode_test_on_split,
     modes,
     run_mode_test,
@@ -155,6 +157,26 @@ class TestReportShape:
         rep = run_mode_test(data, ModeTestConfig(h=0.5, B=20, mean_shift=MeanShiftOptions(max_iter=1)))
         assert rep.k == 0 and rep.portraits == ()
         assert rep.stage2_gradient_norms.shape == (0,)
+
+
+def test_memory_bounded_by_counts_split_and_row_budget():
+    # two 10-d unit clusters 19 sd apart: past the (B, n) uint16 counts and one
+    # candidate's (2K, n) split over the inference half's n points, every
+    # temporary is a row block within kde._ROW_ENTRIES entries; with 16 MB
+    # kernel blocks the peak was 14 MB, against 4.8 MB
+    x = np.random.default_rng(5).normal(size=(4000, 10))
+    x[2000:] += 6.0
+    cfg = ModeTestConfig(h=1.0, B=200)
+    n = split(x, cfg.split_seed)[1].shape[0]
+    tracemalloc.start()
+    try:
+        rep = run_mode_test(x, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.significant_count == 2
+    bound = cfg.B * n * 2 + 10 * 11 * n * 8 + 2 * kde._ROW_ENTRIES * 8
+    assert peak < bound, f"run_mode_test peaked at {peak} bytes, bound {bound}"
 
 
 def mixture_halves(d, seed):

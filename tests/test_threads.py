@@ -6,9 +6,11 @@ Each product runs in a fresh interpreter with its thread variables pinned,
 since BLAS reads them once at load.  The shapes are ones at which a BLAS
 GEMM over the sample axis was seen to change with the thread count
 (OpenBLAS 0.3.31 on 2 cores), including resample shapes that the
-criterion-7 report never reaches, the block shapes that the kernel
-budget `kde._BLOCK_ENTRIES` produces at those sample sizes, and sums over
-24,000 columns, past the width from which OpenBLAS threads a dot product.
+criterion-7 report never reaches, the blocks of kernel weights over a whole
+5,000- or 500-point sample that the row budget `kde._ROW_ENTRIES` makes,
+those that the 16x larger former weight budget made, which grid tiles keep
+as `kde._BLOCK_ENTRIES`, and sums over 24,000 columns, past the width from
+which OpenBLAS threads a dot product.
 """
 
 import json
@@ -24,7 +26,7 @@ import hashlib, json
 import numpy as np
 from modesig.boot import _resample_counts
 from modesig import bootstrap_band, default_axes
-from modesig.kde import _BLOCK_ENTRIES, DensityModel, sample_sum
+from modesig.kde import _BLOCK_ENTRIES, _ROW_ENTRIES, DensityModel, sample_sum
 from modesig.persist import _exact_deviations
 
 def digest(a):
@@ -60,6 +62,15 @@ pts = rng.standard_normal((5000, 10))
 pts[2500:] += 10.0
 model = DensityModel(pts, 1.0)
 out["kept_cells_5000x5000x10"] = digest(model._kept_cells(pts + 0.5 * rng.standard_normal(pts.shape)))
+# one block of weights, half the row budget, over every padded column of _aug (5,056 for
+# 5,000 10-d points in 16 cells, 504 for 500 2-d points in one), drawn after the keys above
+# so that they keep their inputs
+rng = np.random.default_rng(1)
+for n, d in [(5000, 10), (500, 2)]:
+    model = DensityModel(rng.standard_normal((n, d)), 1.0)
+    m = _ROW_ENTRIES // (2 * model._aug.shape[1])
+    w = model._exp_weights(rng.standard_normal((m, d)))
+    out[f"weights_x_points_{m}x{model._aug.shape[1]}x{d}"] = digest(sample_sum(w, model._aug[:d + 1]))
 print(json.dumps(out))
 """
 
